@@ -26,11 +26,13 @@ never deterministic); the flag instead proves tracing has no effect on
 results while the span stream stays well-formed.
 
 ``--exec-tier`` extends the gate from translation to *execution*: a small
-fixed corpus subset runs natively through the device engine under the
-requested tier(s), and stdout, modeled time, and the per-category time
-breakdown are diffed across tiers (``both`` compares ``compiled`` against
-``interp``; ``all`` additionally diffs the warp-vectorized ``vector``
-tier), not just across runs — the generated-tier equivalence contract of
+fixed corpus subset runs natively and through both translation
+directions under the requested tier(s) (host programs lowered to
+generated code under every tier but ``interp``), and stdout, modeled
+time, and the per-category time breakdown are diffed across tiers
+(``both`` compares ``compiled`` against ``interp``; ``all``
+additionally diffs the warp-vectorized ``vector`` tier), not just
+across runs — the generated-tier equivalence contract of
 ``repro.clike.compile`` and ``repro.clike.vectorize``.
 
 ``--farm`` extends the gate to the device-farm tier: the default
@@ -161,23 +163,31 @@ EXEC_FIELDS = ("ok", "exit_code", "stdout", "sim_time", "breakdown",
 
 
 def exec_snapshot(tier):
-    """Run the execution smoke plan natively under one tier."""
+    """Run the execution smoke plan under one tier: natively and through
+    both translation directions (wrapper-backed ``ocl2cuda``, statically
+    rewritten ``cuda2ocl`` host programs)."""
     from repro.apps.base import all_apps
-    from repro.harness import run_cuda_app, run_opencl_app
+    from repro.harness import (run_cuda_app, run_cuda_translated,
+                               run_opencl_app, run_opencl_translated)
     by_key = {(a.suite, a.name): a for a in all_apps()}
     snap = {}
     for suite, name in EXEC_SMOKE_APPS:
         app = by_key.get((suite, name))
         if app is None:
             continue
+        plan = []
         if app.has_opencl:
-            r = run_opencl_app(app.name, app.opencl_host, app.opencl_kernels,
-                               exec_tier=tier)
-            snap[(f"{suite}/{name}", "ocl-native")] = tuple(
-                getattr(r, f) for f in EXEC_FIELDS)
+            args = (app.name, app.opencl_host, app.opencl_kernels)
+            plan += [("ocl-native", run_opencl_app, args),
+                     ("ocl2cuda", run_opencl_translated, args)]
         if app.has_cuda and app.cuda_runs_natively:
-            r = run_cuda_app(app.name, app.cuda_source, exec_tier=tier)
-            snap[(f"{suite}/{name}", "cuda-native")] = tuple(
+            args = (app.name, app.cuda_source)
+            plan.append(("cuda-native", run_cuda_app, args))
+            if app.cuda_translatable:
+                plan.append(("cuda2ocl", run_cuda_translated, args))
+        for mode, run, args in plan:
+            r = run(*args, exec_tier=tier)
+            snap[(f"{suite}/{name}", mode)] = tuple(
                 getattr(r, f) for f in EXEC_FIELDS)
     return snap
 

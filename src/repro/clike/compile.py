@@ -34,6 +34,13 @@ Known modeling divergence (documented, not observable in passing runs):
 the step budget is enforced per loop iteration per function invocation
 rather than per work-item statement count, so pathological kernels abort
 at slightly different points under the two tiers.
+
+*Host mode* (:func:`compile_host_unit`) lowers a host program's ``main``
+and its callees with the same emitter into plain functions: no barrier
+protocol, no access hooks or op counts (the host environment's hooks are
+no-ops), identifiers the emitter cannot bind statically resolved through
+the run's environment on every evaluation, and CUDA ``<<<...>>>``
+launches handed to the environment's launch hook.
 """
 
 from __future__ import annotations
@@ -57,10 +64,11 @@ from .stdlib import swizzle_indices
 _Scalar = T.ScalarType
 
 __all__ = ["CODEGEN_VERSION", "CompileUnsupported", "CompiledSource",
-           "compile_unit", "bind_unit"]
+           "compile_unit", "bind_unit", "compile_host_unit", "bind_host",
+           "host_globals"]
 
 #: bump to invalidate cached compiled artifacts when codegen changes
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
 
 _MAX_LOOP_ITERS = 50_000_000
 
@@ -71,13 +79,15 @@ class CompileUnsupported(Exception):
 
 @dataclass
 class CompiledSource:
-    """Result of :func:`compile_unit`: generated Python source plus the
-    per-kernel coverage map.  Picklable, so it travels through the
-    content-addressed disk cache; ``host_source``/``device_source``
-    satisfy the cache's stale-artifact check and make the artifact a
-    readable codegen dump."""
+    """Result of :func:`compile_unit` (or :func:`compile_host_unit`):
+    generated Python source plus the per-function coverage map.
+    Picklable, so it travels through the content-addressed disk cache;
+    ``host_source``/``device_source`` satisfy the cache's stale-artifact
+    check and make the artifact a readable codegen dump."""
 
     source: str
+    #: entry points the source defines: the covered kernels, or in host
+    #: mode every lowered function
     kernel_names: List[str]
     fallbacks: Dict[str, str] = field(default_factory=dict)
     codegen_version: int = CODEGEN_VERSION
@@ -275,17 +285,11 @@ def _sfptr(p, name):
 
 
 def _memb(env, base, name, site):
-    """Generic ``base.name`` rvalue (non-static base)."""
-    if isinstance(base, Vec):
-        idx = swizzle_indices(name, base.ctype.count)
-        if idx is None:
-            raise InterpError(f"bad swizzle .{name} on {base.ctype}")
-        return base.get(idx)
+    """Generic ``base.name`` rvalue (non-static base); only a struct
+    field access is hooked."""
     if isinstance(base, StructRef):
         return _sfld(env, base, name, site)
-    if hasattr(base, name) and not isinstance(base, (int, float, Ptr)):
-        return getattr(base, name)
-    raise InterpError(f"cannot access .{name} on {type(base).__name__}")
+    return _hmemb(base, name)
 
 
 def _bop(env, op, a, b, rt):
@@ -443,6 +447,174 @@ def _budget():
 _ONE = (0,)
 
 
+# ---------------------------------------------------------------------------
+# host-mode helpers
+#
+# Host programs run under HostEnv, whose on_load/on_store/count_op are
+# ExecEnv's no-ops, so host-mode code calls these hook-free twins of the
+# access helpers above (same values, same errors, no ``env``/``site``).
+# ---------------------------------------------------------------------------
+
+def _hldix(p, i):
+    if type(p) is not Ptr:
+        if isinstance(p, list):
+            return p[int(i)]
+        if not isinstance(p, Ptr):
+            raise InterpError(f"cannot index into {type(p).__name__}")
+    if type(i) is not int:
+        i = int(i)
+    ct = p.ctype
+    sz = ct.size or 1
+    off = p.off + i * sz
+    mem = p.mem
+    if type(ct) is _Scalar:
+        if off < 0 or off + sz > mem._size:
+            mem._check(off, sz)
+        return _UNPACK[ct.name](mem._mv, off)[0]
+    return Ptr(mem, off, ct).load()
+
+
+def _hstp(p, v):
+    p.store(coerce(v, p.ctype))
+    return v
+
+
+def _hstix(p, i, v):
+    if not isinstance(p, Ptr):
+        if isinstance(p, list):
+            p[int(i)] = v
+            return v
+        raise InterpError(f"cannot index into {type(p).__name__}")
+    ct = p.ctype
+    off = p.off + int(i) * (ct.size or 1)
+    if type(ct) is _Scalar and type(v) in (int, float, bool):
+        # write_scalar applies coerce's wrap/float conversion itself
+        p.mem.write_scalar(off, ct, v)
+    else:
+        Ptr(p.mem, off, ct).store(coerce(v, ct))
+    return v
+
+
+def _hstpc(p, op, v):
+    rhs = _apply_binop(op, p.load(), v, None)
+    p.store(coerce(rhs, p.ctype))
+    return rhs
+
+
+def _hstixc(p, i, op, v):
+    if not isinstance(p, Ptr):
+        if isinstance(p, list):
+            ix = int(i)
+            p[ix] = rhs = _apply_binop(op, p[ix], v, None)
+            return rhs
+        raise InterpError(f"cannot index into {type(p).__name__}")
+    return _hstpc(p.add(int(i)), op, v)
+
+
+def _hincp(p, delta, post):
+    old = p.load()
+    p.store(coerce(old.add(delta) if isinstance(old, Ptr) else old + delta,
+                   p.ctype))
+    return old if post else p.load()
+
+
+def _hvset_m(p, idx, v):
+    vt = p.ctype
+    p.store(coerce(p.load().with_set(idx, coerce(v, _velem_t(vt, idx))), vt))
+    return p.load().get(idx)
+
+
+def _hvaug_m(p, idx, op, v):
+    vt = p.ctype
+    rhs = _apply_binop(op, p.load().get(idx), v, None)
+    p.store(coerce(p.load().with_set(idx, coerce(rhs, _velem_t(vt, idx))),
+                   vt))
+    return p.load().get(idx)
+
+
+def _hsfld(sref, name):
+    fptr = sref.field_ptr(name)
+    if isinstance(fptr.ctype, T.ArrayType):
+        return Ptr(fptr.mem, fptr.off, fptr.ctype.elem)
+    return fptr.load()
+
+
+def _harrow(p, name):
+    if isinstance(p, Ptr) and isinstance(p.ctype, T.StructType):
+        return _hsfld(StructRef(p.mem, p.off, p.ctype), name)
+    raise InterpError("-> on non-struct-pointer value")
+
+
+def _hmemb(base, name):
+    """``base.name`` rvalue: vector swizzle, struct field, or attribute of
+    an opaque object (texture reference)."""
+    if isinstance(base, Vec):
+        idx = swizzle_indices(name, base.ctype.count)
+        if idx is None:
+            raise InterpError(f"bad swizzle .{name} on {base.ctype}")
+        return base.get(idx)
+    if isinstance(base, StructRef):
+        return _hsfld(base, name)
+    if hasattr(base, name) and not isinstance(base, (int, float, Ptr)):
+        return getattr(base, name)
+    raise InterpError(f"cannot access .{name} on {type(base).__name__}")
+
+
+def _hbop(op, a, b, rt):
+    r = _apply_binop(op, a, b, None)
+    if rt is not None and isinstance(r, int) and op in ("+", "-", "*", "<<"):
+        r = coerce(r, rt)
+    return r
+
+
+def _hid(env, name, line):
+    """Identifier not statically resolvable, looked up through the run's
+    environment on every evaluation: never through ``_CONST_MEMO``, whose
+    entries outlive the run (``KERNEL_SOURCE`` differs per program)."""
+    try:
+        return env.special_var(name)
+    except KeyError:
+        pass
+    try:
+        return env.constant(name)
+    except KeyError:
+        raise InterpError(f"undefined identifier {name!r} (line {line})")
+
+
+def _hattr(obj, attr):
+    """Texture reference ``obj`` as the target of ``obj.attr = v``
+    (interp ``_AttrLV``)."""
+    if not hasattr(obj, attr):
+        raise InterpError(f"{type(obj).__name__} has no attribute {attr!r}")
+    return obj
+
+
+def _hattrc(env, name, attr):
+    """Environment constant ``name`` as the target of ``name.attr = v``
+    (wrapper-runtime texture bindings in translated host code)."""
+    try:
+        obj = env.constant(name)
+    except KeyError:
+        raise InterpError(f"cannot assign to {name!r}")
+    if not hasattr(obj, attr):
+        raise InterpError(f"cannot assign to {name!r}")
+    return obj
+
+
+def _hsetattr(obj, attr, v):
+    setattr(obj, attr, v)
+    return v
+
+
+def _launch(env, name, grid, block, shmem, stream, args):
+    """CUDA ``<<<...>>>`` (interp ``_eval_kernel_launch``, operands already
+    evaluated in its order)."""
+    impl = env.builtin("__cuda_launch__")
+    if impl is None:
+        raise InterpError("kernel launch outside a CUDA runtime environment")
+    return impl(name, grid, block, shmem, stream, args)
+
+
 def _base_namespace() -> Dict[str, Any]:
     """The exec namespace shared by every bound module."""
     ns: Dict[str, Any] = {
@@ -458,8 +630,15 @@ def _base_namespace() -> Dict[str, Any]:
         "_callx": _callx, "_callb": _callb, "_dynid": _dynid,
         "_incr": _incr, "_pinc": _pinc,
         "_barexpr": _barexpr, "_budget": _budget, "_ONE": _ONE,
+        "_hldix": _hldix, "_hstp": _hstp, "_hstix": _hstix,
+        "_hstpc": _hstpc, "_hstixc": _hstixc, "_hincp": _hincp,
+        "_hvset_m": _hvset_m, "_hvaug_m": _hvaug_m, "_hsfld": _hsfld,
+        "_harrow": _harrow, "_hmemb": _hmemb, "_hbop": _hbop, "_hid": _hid,
+        "_hattr": _hattr, "_hattrc": _hattrc, "_hsetattr": _hsetattr,
+        "_launch": _launch,
         "_Ptr": Ptr, "Vec": Vec, "StructRef": StructRef,
         "_PtrT": T.PointerType, "_ArrT": T.ArrayType, "_vt": T.vector,
+        "_OpqT": T.OpaqueType,
         "_AS": T.AddressSpace, "InterpError": InterpError,
         "_B": "barrier", "_WOP": WarpOp,
     }
@@ -559,32 +738,55 @@ def _scan_signals(n: Optional[A.Node]) -> Tuple[bool, bool]:
 # unit-level codegen
 # ---------------------------------------------------------------------------
 
+def host_globals(unit: A.TranslationUnit) -> Tuple[Set[str], Set[str]]:
+    """``(slot names, value names)`` a host program's file scope binds
+    once ``Interp.init_globals`` and the CUDA runtime's ``attach`` ran:
+    every variable lives in ``global_slots`` except texture references,
+    which live in ``global_values``."""
+    slots: Set[str] = set()
+    values: Set[str] = set()
+    for d in unit.decls:
+        if isinstance(d, A.VarDecl):
+            (values if isinstance(d.type, T.TextureType) else slots).add(
+                d.name)
+    return slots, values
+
+
 class _UnitCodegen:
-    def __init__(self, unit: A.TranslationUnit, dialect_name: str) -> None:
+    def __init__(self, unit: A.TranslationUnit, dialect_name: str,
+                 host: bool = False) -> None:
         # local import: device.builtins pulls in host-library modules
         from ..device.builtins import BARRIER_NAMES
         self.unit = unit
         self.dialect_name = dialect_name
         self.dialect = get_dialect(dialect_name)
-        self.barrier_names = frozenset(BARRIER_NAMES.get(dialect_name, ()))
+        #: host mode: plain functions (no barrier protocol), no access
+        #: hooks or op counts, identifiers resolved per run
+        self.host = host
+        self.barrier_names = frozenset(
+            () if host else BARRIER_NAMES.get(dialect_name, ()))
         # warp primitives suspend on a WarpOp token (scheduler rendezvous);
         # only the CUDA dialect exposes them (mirrors ExecEnv.warp_op_kind)
         self.warp_ops: Dict[str, str] = (
-            WARP_OP_KINDS if dialect_name == "cuda" else {})
+            WARP_OP_KINDS if dialect_name == "cuda" and not host else {})
         self.fns: Dict[str, A.FunctionDecl] = {
             f.name: f for f in unit.functions() if f.body is not None}
-        # mirror of load_module's symbol registration
+        # mirror of load_module's symbol registration (host mode: of the
+        # host interpreter's file scope)
         self.sym_names: Set[str] = set()
         self.gv_names: Set[str] = set()
-        for d in unit.decls:
-            if not isinstance(d, A.VarDecl):
-                continue
-            if isinstance(d.type, T.TextureType):
-                self.gv_names.add(d.name)
-            elif dialect_name == "cuda" and d.space is None:
-                pass  # host-side global, not a device symbol
-            else:
-                self.sym_names.add(d.name)
+        if host:
+            self.sym_names, self.gv_names = host_globals(unit)
+        else:
+            for d in unit.decls:
+                if not isinstance(d, A.VarDecl):
+                    continue
+                if isinstance(d.type, T.TextureType):
+                    self.gv_names.add(d.name)
+                elif dialect_name == "cuda" and d.space is None:
+                    pass  # host-side global, not a device symbol
+                else:
+                    self.sym_names.add(d.name)
         self._nsite = 0
         self._ty_lines: List[str] = []
         self._ty_memo: Dict[str, str] = {}
@@ -609,6 +811,8 @@ class _UnitCodegen:
             if not t.name:
                 raise CompileUnsupported("anonymous struct type")
             return self._intern(f"__STRUCTS[{t.name!r}]")
+        if isinstance(t, T.OpaqueType):
+            return self._intern(f"_OpqT({t.name!r})")
         raise CompileUnsupported(f"type {t!r} in codegen")
 
     def _intern(self, code: str) -> str:
@@ -619,13 +823,29 @@ class _UnitCodegen:
             self._ty_lines.append(f"{name} = {code}")
         return name
 
+    def _host_reachable(self) -> Set[str]:
+        """``main`` and the functions it calls, transitively."""
+        seen: Set[str] = set()
+        todo = ["main"] if "main" in self.fns else []
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            for node in A.walk(self.fns[name].body):
+                if isinstance(node, A.Call) and node.callee_name in self.fns:
+                    todo.append(node.callee_name)
+        return seen
+
     def run(self) -> CompiledSource:
         chunks: Dict[str, str] = {}
         callees: Dict[str, Set[str]] = {}
         fallbacks: Dict[str, str] = {}
         order: List[str] = []
+        wanted = self._host_reachable() if self.host else None
         for fn in self.unit.functions():
-            if fn.body is None:
+            if fn.body is None or (wanted is not None
+                                   and fn.name not in wanted):
                 continue
             order.append(fn.name)
             try:
@@ -649,9 +869,11 @@ class _UnitCodegen:
                     changed = True
         kernel_names = [
             f.name for f in self.unit.functions()
-            if f.is_kernel and f.body is not None and f.name in chunks]
+            if (f.is_kernel or self.host) and f.body is not None
+            and f.name in chunks]
+        mode = ", host" if self.host else ""
         parts = [f"# generated by repro.clike.compile v{CODEGEN_VERSION} "
-                 f"(dialect={self.dialect_name})"]
+                 f"(dialect={self.dialect_name}{mode})"]
         parts.extend(self._ty_lines)
         parts.extend(chunks[n] for n in order if n in chunks)
         return CompiledSource("\n".join(parts) + "\n", kernel_names,
@@ -676,7 +898,13 @@ class _FnCodegen:
         # name -> ('reg', t) | ('preg', t) | ('pregw', t) | ('mem', t)
         self.names: Dict[str, Tuple[str, T.Type]] = {}
         self.arrays: Set[str] = set()  # mem names with ArrayType (have Md_)
+        #: names declared again with another type -> the value kind all
+        #: their declarations share ('?' if none); a register's coercion
+        #: type then lives in ``T_<name>``, set by each executed declaration
+        #: (the interpreter's flat per-frame ``__types__``)
+        self.retyped: Dict[str, str] = {}
         self.ctx: List[Tuple[str, Optional[str]]] = []  # break/continue
+        self.host = u.host
 
     # -- infrastructure ------------------------------------------------------
 
@@ -701,6 +929,9 @@ class _FnCodegen:
         return self.u.type_ref(t)
 
     def flush(self, cnt: List[int]) -> None:
+        if self.host:
+            cnt[0] = cnt[1] = 0
+            return
         if cnt[0]:
             self.uses_counts = True
             self.w(f"__C.flops += {cnt[0]}")
@@ -711,13 +942,29 @@ class _FnCodegen:
 
     def cc_wrap(self, code: str, cnt: List[int]) -> str:
         """Wrap a conditionally-evaluated subexpression's static counts."""
-        if cnt[0] or cnt[1]:
+        if (cnt[0] or cnt[1]) and not self.host:
             self.uses_counts = True
             return f"_cc(__C, {cnt[0]}, {cnt[1]}, {code})"
         return code
 
     def truth(self, code: str, kind: str) -> str:
         return code if kind in "ifp" else f"_tr({code})"
+
+    def acc(self, helper: str, *args: str, site: Optional[int] = None) -> str:
+        """Call of access helper ``_<helper>``: hooked (``env`` plus an
+        access site) in device mode, its hook-free twin ``_h<helper>`` in
+        host mode."""
+        if self.host:
+            return f"_h{helper}({', '.join(args)})"
+        if site is None:
+            site = self.site()
+        return f"_{helper}(env, {', '.join(args)}, {site})"
+
+    def ld(self, p: str, site: Optional[int] = None) -> str:
+        """Load through pointer code ``p`` (``_ldp``)."""
+        if self.host:
+            return f"{p}.load()" if p.isidentifier() else f"({p}).load()"
+        return f"_ldp(env, {p}, {self.site() if site is None else site})"
 
     # -- prepass -------------------------------------------------------------
 
@@ -761,10 +1008,17 @@ class _FnCodegen:
                 else:
                     cls = "reg"
                 prev = self.names.get(d.name)
-                if prev is not None and (prev[0] != cls
-                                         or not self._same_t(prev[1], d.type)):
+                if prev is not None and prev[0] != cls:
                     raise self.unsup(
-                        f"conflicting redeclaration of {d.name!r}")
+                        f"{d.name!r} redeclared in another storage class")
+                if prev is not None and not self._same_t(prev[1], d.type):
+                    if (isinstance(prev[1], T.ArrayType)
+                            != isinstance(d.type, T.ArrayType)):
+                        raise self.unsup(
+                            f"{d.name!r} redeclared as array and non-array")
+                    k = _kind_of(d.type)
+                    shared = self.retyped.get(d.name, _kind_of(prev[1]))
+                    self.retyped[d.name] = k if shared == k else "?"
                 self.names[d.name] = (cls, d.type)
                 if cls == "mem" and isinstance(d.type, T.ArrayType):
                     self.arrays.add(d.name)
@@ -789,31 +1043,31 @@ class _FnCodegen:
         rec = self.names.get(name)
         if rec is not None:
             cls, t = rec
-            if cls == "reg":
-                return f"V_{name}", _kind_of(t)
-            if cls == "preg":
-                return f"V_{name}", _kind_of(t)
+            k = self.retyped.get(name) or _kind_of(t)
+            if cls in ("reg", "preg"):
+                return f"V_{name}", k
             if cls == "pregw":
                 # reassigned parameter: value shape no longer statically known
                 return f"V_{name}", "?"
             # mem
             if name in self.arrays:
                 return f"Md_{name}", "p"
-            return f"_ldp(env, M_{name}, {self.site()})", _kind_of(t)
+            return self.ld(f"M_{name}"), k
         if name in self.u.sym_names:
             # module symbol type: find the decl
             for d in self.u.unit.decls:
                 if isinstance(d, A.VarDecl) and d.name == name:
                     if isinstance(d.type, T.ArrayType):
                         return f"Gd_{name}", "p"
-                    return (f"_ldp(env, G_{name}, {self.site()})",
-                            _kind_of(d.type))
-            return f"_ldp(env, G_{name}, {self.site()})", "?"
+                    return self.ld(f"G_{name}"), _kind_of(d.type)
+            return self.ld(f"G_{name}"), "?"
         if name in self.u.gv_names:
             return f"__GV[{name!r}]", "?"
         if name in self.u.fns:
             raise self.unsup(f"function {name!r} used as a value")
         line = getattr(e, "loc", (0,))[0]
+        if self.host:
+            return f"_hid(env, {name!r}, {line})", "?"
         return f"_dynid(env, {name!r}, {line})", "?"
 
     # -- expressions ---------------------------------------------------------
@@ -864,7 +1118,23 @@ class _FnCodegen:
         if kind is A.InitList:
             items = [self.expr(i, cnt)[0] for i in e.items]
             return f"[{', '.join(items)}]", "?"
+        if kind is A.KernelLaunch and self.host:
+            return self.launch(e, cnt)
         raise self.unsup(f"cannot compile {kind.__name__} expression")
+
+    def launch(self, e: A.KernelLaunch, cnt: List[int]) -> Tuple[str, str]:
+        """CUDA ``<<<...>>>``, operands in ``Interp._eval_kernel_launch``'s
+        order: grid, block, shared bytes, stream, then the arguments."""
+        if not isinstance(e.kernel, A.Ident):
+            raise self.unsup("kernel launch target must be a kernel name")
+        ops = [self.expr(e.grid, cnt)[0], self.expr(e.block, cnt)[0]]
+        ops.append(f"int({self.expr(e.shmem, cnt)[0]})"
+                   if e.shmem is not None else "0")
+        ops.append(self.expr(e.stream, cnt)[0]
+                   if e.stream is not None else "0")
+        args = ", ".join(self.expr(a, cnt)[0] for a in e.args)
+        return (f"_launch(env, {e.kernel.name!r}, {', '.join(ops)}, "
+                f"[{args}])", "?")
 
     # -- operators -----------------------------------------------------------
 
@@ -918,6 +1188,8 @@ class _FnCodegen:
         rt = e.ctype
         rtref = (self.tref(rt) if isinstance(rt, T.ScalarType)
                  and not rt.floating else "None")
+        if self.host:
+            return f"_hbop({op!r}, {a}, {b}, {rtref})", "?"
         return f"_bop(env, {op!r}, {a}, {b}, {rtref})", "?"
 
     def unop(self, e: A.UnOp, cnt: List[int],
@@ -930,8 +1202,7 @@ class _FnCodegen:
             return code, "p"
         if op == "*":
             code, k = self.expr(e.operand, cnt)
-            rt = e.ctype
-            return f"_ldp(env, {code}, {self.site()})", _kind_of(rt)
+            return self.ld(code), _kind_of(e.ctype)
         code, k = self.expr(e.operand, cnt)
         if op == "-":
             if k in "if":
@@ -956,7 +1227,10 @@ class _FnCodegen:
             if rec is not None and rec[0] in ("reg", "preg", "pregw"):
                 cls, dt = rec
                 v = f"V_{t.name}"
-                if cls == "reg":
+                if t.name in self.retyped:
+                    new = lambda cur: f"_incr({cur}, {delta}, T_{t.name})"
+                    k = "?"
+                elif cls == "reg":
                     k = _kind_of(dt)
                     if k == "i":
                         new = lambda cur: self.intwrap(
@@ -981,7 +1255,7 @@ class _FnCodegen:
             # memory ident falls through to the pointer path
         code, pt = self.lv_ptr(t, cnt)
         post = "True" if e.postfix else "False"
-        call = f"_incp(env, {code}, {delta}, {post}, {self.site()})"
+        call = self.acc("incp", code, str(delta), post)
         if as_stmt:
             self.w(call)
             return "", "?"
@@ -1003,6 +1277,8 @@ class _FnCodegen:
             idx, ik = self.expr(e.index, cnt)
             if ik != "i":
                 idx = f"int({idx})"
+            if e.base.name in self.retyped:
+                raise self.unsup("vector index on a retyped name")
             if rec is not None and rec[0] in ("reg", "preg") \
                     and isinstance(rec[1], T.VectorType):
                 return f"V_{e.base.name}.get(({idx},))", ek
@@ -1011,8 +1287,8 @@ class _FnCodegen:
                 p, pt = self.lv_ptr(e.base, cnt)
                 s = self.site()
                 t = self.tmp()
-                return (f"(_ldp(env, {p}, {s}), ({t} := {idx}), "
-                        f"_ldp(env, {p}, {s}).get(({t},)))[2]", ek)
+                return (f"({self.ld(p, s)}, ({t} := {idx}), "
+                        f"{self.ld(p, s)}.get(({t},)))[2]", ek)
             raise self.unsup("vector index on this base")
         base, bk = self.expr(e.base, cnt)
         idx, ik = self.expr(e.index, cnt)
@@ -1021,7 +1297,7 @@ class _FnCodegen:
             elem = bt.pointee
         elif isinstance(bt, T.ArrayType):
             elem = bt.elem
-        return (f"_ldix(env, {base}, {idx}, {self.site()})",
+        return (self.acc("ldix", base, idx),
                 _kind_of(elem) if elem is not None else "?")
 
     def member(self, e: A.Member, cnt: List[int]) -> Tuple[str, str]:
@@ -1031,28 +1307,26 @@ class _FnCodegen:
             if (name not in self.names and name not in self.u.sym_names
                     and name not in self.u.gv_names):
                 # CUDA built-in dim registers: threadIdx.x and friends
-                if (self.u.dialect_name == "cuda"
+                if (self.u.dialect_name == "cuda" and not self.host
                         and name in _CUDA_SPECIALS and e.name in _XYZ):
                     return f"{_CUDA_SPECIALS[name]}[{_XYZ[e.name]}]", "i"
         if e.arrow:
             base, bk = self.expr(e.base, cnt)
-            return (f"_arrow(env, {base}, {e.name!r}, {self.site()})",
-                    _kind_of(e.ctype))
+            return self.acc("arrow", base, repr(e.name)), _kind_of(e.ctype)
         if isinstance(bt, T.VectorType):
             idx = swizzle_indices(e.name, bt.count)
             base, bk = self.expr(e.base, cnt)
             if idx is None or bk != "v":
                 # _memb re-derives the swizzle and raises interp's errors
-                return (f"_memb(env, {base}, {e.name!r}, {self.site()})", "?")
+                return self.acc("memb", base, repr(e.name)), "?"
             if len(idx) == 1:
                 ek = "f" if bt.base.floating else "i"
                 return f"({base}).get(({idx[0]},))", ek
             return f"({base}).get({tuple(idx)!r})", "v"
         base, bk = self.expr(e.base, cnt)
         if bk == "s":
-            return (f"_sfld(env, {base}, {e.name!r}, {self.site()})",
-                    _kind_of(e.ctype))
-        return f"_memb(env, {base}, {e.name!r}, {self.site()})", "?"
+            return self.acc("sfld", base, repr(e.name)), _kind_of(e.ctype)
+        return self.acc("memb", base, repr(e.name)), "?"
 
     # -- casts / sizeof ------------------------------------------------------
 
@@ -1073,6 +1347,14 @@ class _FnCodegen:
                           T.ImageType, T.SamplerType, T.TextureType)):
             return code  # coerce is the identity
         return f"_co({code}, {self.tref(t)})"
+
+    def reg_co(self, name: str, code: str, t: T.Type, k: str) -> str:
+        """Coercion of a store to register ``name``: through its declared
+        type, or for a retyped name the type its last executed
+        declaration set."""
+        if name in self.retyped:
+            return f"_co({code}, T_{name})"
+        return self.co(code, t, k)
 
     def cast(self, e: A.Cast, cnt: List[int]) -> Tuple[str, str]:
         t = e.type
@@ -1124,6 +1406,8 @@ class _FnCodegen:
             rt = fn.ret_type
             k = "?" if rt is None or getattr(rt, "is_void", False) \
                 else _kind_of(rt)
+            if self.host:
+                return f"_F_{name}({inner})", k
             return f"_callx(_F_{name}({inner}), {name!r})", k
         if (self.u.dialect_name == "opencl" and name in _OPENCL_IDS
                 and len(e.args) == 1):
@@ -1155,8 +1439,11 @@ class _FnCodegen:
         tup = ", ".join(args) + ("," if len(args) == 1 else "")
         cref = self.tref(conv) if conv is not None else "None"
         line = getattr(e, "loc", (0,))[0]
+        # a host library callable may return another Python type than
+        # the C prototype sema assumed (abs of a float), so host-mode
+        # results are never statically kinded
         return (f"_callb(env, {name!r}, {line}, {cref}, ({tup}))",
-                _kind_of(e.ctype))
+                "?" if self.host else _kind_of(e.ctype))
 
     # -- lvalue pointers -----------------------------------------------------
 
@@ -1166,7 +1453,8 @@ class _FnCodegen:
         if isinstance(e, A.Ident):
             rec = self.names.get(e.name)
             if rec is not None and rec[0] == "mem":
-                return f"M_{e.name}", rec[1]
+                return (f"M_{e.name}",
+                        None if e.name in self.retyped else rec[1])
             if rec is None and e.name in self.u.sym_names:
                 for d in self.u.unit.decls:
                     if isinstance(d, A.VarDecl) and d.name == e.name:
@@ -1262,17 +1550,35 @@ class _FnCodegen:
         if isinstance(t, A.Member) and not t.arrow \
                 and isinstance(bt, T.VectorType):
             return self._assign_vec_swizzle(e, bt, cnt, as_stmt)
+        # ---- attributes of opaque objects (texture references) ----
+        if (self.host and isinstance(t, A.Member) and not t.arrow
+                and isinstance(t.base, A.Ident)):
+            name = t.base.name
+            if name in self.u.gv_names:
+                obj = f"_hattr(__GV[{name!r}], {t.name!r})"
+            elif name not in self.names and name not in self.u.sym_names:
+                obj = f"_hattrc(env, {name!r}, {t.name!r})"
+            else:
+                obj = None
+            if obj is not None:
+                if op:
+                    raise self.unsup("compound assignment to an attribute")
+                rhs, rk = self.expr(e.value, cnt)
+                code = f"_hsetattr({obj}, {t.name!r}, {rhs})"
+                if as_stmt:
+                    self.w(code)
+                    return "", rk
+                return code, rk
         # ---- memory targets ----
         if isinstance(t, A.Index):
             base, bk = self.expr(t.base, cnt)
             idx, ik = self.expr(t.index, cnt)
             site = self.site()
+            rhs, rk = self.expr(e.value, cnt)
             if op:
-                rhs, rk = self.expr(e.value, cnt)
-                code = f"_stixc(env, {base}, {idx}, {op!r}, {rhs}, {site})"
+                code = self.acc("stixc", base, idx, repr(op), rhs, site=site)
             else:
-                rhs, rk = self.expr(e.value, cnt)
-                code = f"_stix(env, {base}, {idx}, {rhs}, {site})"
+                code = self.acc("stix", base, idx, rhs, site=site)
             if as_stmt:
                 self.w(code)
                 return "", "?"
@@ -1293,10 +1599,10 @@ class _FnCodegen:
         site = self.site()
         rhs, rk = self.expr(e.value, cnt)
         if e.op:
-            code = f"_stpc(env, {p}, {e.op!r}, {rhs}, {site})"
+            code = self.acc("stpc", p, repr(e.op), rhs, site=site)
             k = "?"
         else:
-            code = f"_stp(env, {p}, {rhs}, {site})"
+            code = self.acc("stp", p, rhs, site=site)
             k = rk
         if as_stmt:
             self.w(code)
@@ -1310,26 +1616,27 @@ class _FnCodegen:
         v = f"V_{name}"
         rhs, rk = self.expr(e.value, cnt)
         if cls == "reg":
-            tk = _kind_of(dt)
+            tk = self.retyped.get(name) or _kind_of(dt)
             if not e.op:
                 if as_stmt:
-                    self.w(f"{v} = {self.co(rhs, dt, rk)}")
+                    self.w(f"{v} = {self.reg_co(name, rhs, dt, rk)}")
                     return "", rk
                 tmp = self.tmp()
-                co2 = self.co(tmp, dt, rk)
+                co2 = self.reg_co(name, tmp, dt, rk)
                 return f"(({tmp} := {rhs}), ({v} := {co2}), {tmp})[2]", rk
             # compound: cur read after rhs (use a temp)
             if as_stmt:
                 tmp = self.tmp()
                 self.w(f"{tmp} = {rhs}")
                 applied, ak = self._apply_code(e.op, v, tmp, tk, rk)
-                self.w(f"{v} = {self.co(applied, dt, ak)}")
+                self.w(f"{v} = {self.reg_co(name, applied, dt, ak)}")
                 return "", "?"
             tmp = self.tmp()
             tmp2 = self.tmp()
             applied, ak = self._apply_code(e.op, v, tmp, tk, rk)
             return (f"(({tmp} := {rhs}), ({tmp2} := {applied}), "
-                    f"({v} := {self.co(tmp2, dt, ak)}), {tmp2})[3]", ak)
+                    f"({v} := {self.reg_co(name, tmp2, dt, ak)}), "
+                    f"{tmp2})[3]", ak)
         # parameter register: coerce through the current-value rule
         if not e.op:
             if as_stmt and not self._writes_name(e.value, name):
@@ -1372,6 +1679,8 @@ class _FnCodegen:
         idx, ik = self.expr(t.index, cnt)
         if ik != "i":
             idx = f"int({idx})"
+        if base.name in self.retyped:
+            raise self.unsup("vector element assignment on a retyped name")
         if rec is not None and rec[0] == "reg" \
                 and isinstance(rec[1], T.VectorType):
             return self._assign_vec_reg(e, rec[1], f"({idx},)", 1, cnt,
@@ -1383,11 +1692,11 @@ class _FnCodegen:
             rhs, rk = self.expr(e.value, cnt)
             # Index lvalues evaluate (and load) the base vector first
             if e.op:
-                code = (f"(_ldp(env, {p}, {site}), _vaug_m(env, {p}, "
-                        f"({idx},), {e.op!r}, {rhs}, {site}))[1]")
+                store = self.acc("vaug_m", p, f"({idx},)", repr(e.op), rhs,
+                                 site=site)
             else:
-                code = (f"(_ldp(env, {p}, {site}), _vset_m(env, {p}, "
-                        f"({idx},), {rhs}, {site}))[1]")
+                store = self.acc("vset_m", p, f"({idx},)", rhs, site=site)
+            code = f"({self.ld(p, site)}, {store})[1]"
             if as_stmt:
                 self.w(code)
                 return "", "?"
@@ -1405,6 +1714,8 @@ class _FnCodegen:
         if not isinstance(base, A.Ident):
             raise self.unsup("swizzle assignment on complex base")
         rec = self.names.get(base.name)
+        if base.name in self.retyped:
+            raise self.unsup("swizzle assignment on a retyped name")
         if rec is not None and rec[0] == "reg" \
                 and isinstance(rec[1], T.VectorType):
             return self._assign_vec_reg(e, rec[1], sidx, len(idx), cnt,
@@ -1415,10 +1726,10 @@ class _FnCodegen:
             site = self.site()
             rhs, rk = self.expr(e.value, cnt)
             if e.op:
-                code = (f"_vaug_m(env, {p}, {sidx}, {e.op!r}, {rhs}, "
-                        f"{site})")
+                code = self.acc("vaug_m", p, sidx, repr(e.op), rhs,
+                                site=site)
             else:
-                code = f"_vset_m(env, {p}, {sidx}, {rhs}, {site})"
+                code = self.acc("vset_m", p, sidx, rhs, site=site)
             if as_stmt:
                 self.w(code)
                 return "", "?"
@@ -1530,7 +1841,8 @@ class _FnCodegen:
                 args = [self.expr(a, cnt)[0] for a in e.args]
                 self.flush(cnt)
                 inner = ", ".join(["env"] + args)
-                self.w(f"yield from _F_{name}({inner})")
+                self.w(f"{'' if self.host else 'yield from '}"
+                       f"_F_{name}({inner})")
                 return
         if isinstance(e, A.Assign):
             if (isinstance(e.value, A.Call)
@@ -1580,12 +1892,14 @@ class _FnCodegen:
         if e.op:
             # uncounted apply, exactly like the interpreter's Assign arm
             self.w(f"{r} = _ab({e.op!r}, V_{t.name}, {r}, env)")
-        self.w(f"V_{t.name} = {self.co(r, dt, '?')}")
+        self.w(f"V_{t.name} = {self.reg_co(t.name, r, dt, '?')}")
 
     def flush_at(self, cnt: List[int], mark: int) -> None:
         """Insert the statement's static count flush *before* any lines an
         as_stmt emitter already wrote (counts precede the statement)."""
         ins: List[Tuple[int, str]] = []
+        if self.host:
+            cnt[0] = cnt[1] = 0
         if cnt[0]:
             self.uses_counts = True
             ins.append((self.ind, f"__C.flops += {cnt[0]}"))
@@ -1663,7 +1977,10 @@ class _FnCodegen:
             self.ind += 1
             self.w("break")
             self.ind -= 1
-        if s.step is not None:
+        if isinstance(s.step, A.UnOp) and s.step.op in ("++", "--"):
+            # the step's value is unused: skip the postfix temp tuple
+            self.expr_stmt(s.step)
+        elif s.step is not None:
             cnt = [0, 0]
             code, _ = self.expr(s.step, cnt)
             self.flush(cnt)
@@ -1824,6 +2141,8 @@ class _FnCodegen:
                 self.w(f"{v} = Vec({self.tref(t)}, [0] * {t.count})")
             else:
                 self.w(f"{v} = 0")
+        if name in self.retyped:
+            self.w(f"T_{name} = {self.tref(t)}")
 
     def store_init(self, off: str, t: T.Type, init: A.Node) -> None:
         """Static expansion of Interp._store_init at stack offset ``off``
@@ -1914,10 +2233,11 @@ class _FnCodegen:
         argv = ", ".join(["env"] + [f"a{i}" for i in range(len(fn.params))])
         self.w(f"def _F_{fn.name}({argv}):")
         self.ind = 1
-        self.w("if False:")
-        self.ind += 1
-        self.w("yield")
-        self.ind -= 1
+        if not self.host:  # device functions are generators (barriers)
+            self.w("if False:")
+            self.ind += 1
+            self.w("yield")
+            self.ind -= 1
         if self.uses_counts:
             self.w("__C = env.launch.counters")
         if self.uses_steps:
@@ -1960,6 +2280,40 @@ def compile_unit(unit: A.TranslationUnit, dialect: str) -> CompiledSource:
     from .vectorize import vector_compile_unit
     vector_compile_unit(unit, dialect, cs)
     return cs
+
+
+def compile_host_unit(unit: A.TranslationUnit,
+                      dialect: str) -> CompiledSource:
+    """Lower a host program's ``main`` and its callees (host mode).
+
+    Host mode emits plain functions (host code never reaches a barrier),
+    fires no access hooks and counts no ops (``HostEnv`` keeps
+    ``ExecEnv``'s no-op ``on_load``/``on_store``/``count_op``), resolves
+    environment identifiers on every evaluation, and runs CUDA
+    ``<<<...>>>`` launches through the environment's ``__cuda_launch__``.
+    Functions outside the covered subset are recorded in ``fallbacks``
+    together with their callers; ``kernel_names`` lists the lowered
+    functions.  ``unit`` must be annotated, as constructing the host
+    :class:`~repro.clike.interp.Interp` does.
+    """
+    return _UnitCodegen(unit, dialect, host=True).run()
+
+
+def bind_host(interp: Any, cs: CompiledSource) -> Dict[str, Any]:
+    """Bind host-mode ``cs`` to ``interp``'s file scope, after
+    ``init_globals`` and any runtime ``attach``; returns ``{name:
+    function}``, each called as ``fn(env, *args)``.  Raises
+    :class:`CompileUnsupported` when that file scope is not the one
+    codegen assumed (see :func:`host_globals`)."""
+    slots, values = host_globals(interp.unit)
+    have_slots = interp.global_slots.keys()
+    have_values = interp.global_values.keys()
+    odd = sorted((slots ^ have_slots) | (values ^ have_values))
+    if odd:
+        raise CompileUnsupported(
+            f"file-scope name {odd[0]!r} bound other than codegen assumed")
+    return bind_unit(interp.unit, cs, interp.global_slots,
+                     interp.global_values)
 
 
 _CODE_MEMO: Dict[str, Any] = {}
@@ -2005,7 +2359,9 @@ def bind_unit(unit: A.TranslationUnit, cs: CompiledSource,
         code = compile(cs.source, "<repro-kernel-codegen>", "exec")
         _CODE_MEMO[cs.source] = code
     ns = _base_namespace()
-    ns["__STRUCTS"] = _collect_structs(unit)
+    # the struct table walks the whole unit; most sources never read it
+    ns["__STRUCTS"] = (_collect_structs(unit) if "__STRUCTS[" in cs.source
+                       else {})
     ns["__GV"] = globals_values
     for name, ptr in symbols.items():
         ns[f"G_{name}"] = ptr

@@ -385,6 +385,14 @@ class Interp:
         #: non-compound statement.  None (the default) costs one attribute
         #: load per statement.
         self.debug_sink: Optional[Any] = None
+        #: generated replacements for functions, ``name -> fn(env, *args)``
+        #: (host programs lowered by ``repro.clike.compile``); :meth:`call`
+        #: runs these instead of tree-walking
+        self.lowered: Dict[str, Callable[..., Any]] = {}
+        #: run once, by the first :meth:`call`, to fill ``lowered``: a host
+        #: program is lowered when it is entered, so its codegen counts
+        #: toward the call it speeds up
+        self.lower: Optional[Callable[[], None]] = None
 
     # -- globals ---------------------------------------------------------------
 
@@ -492,6 +500,15 @@ class Interp:
         fn = self.functions.get(name)
         if fn is None:
             raise InterpError(f"undefined function {name!r}")
+        if self.lower is not None:
+            lower, self.lower = self.lower, None
+            lower()
+        lowered = self.lowered.get(name)
+        if lowered is not None:
+            if len(args) != len(fn.params):
+                raise InterpError(f"{fn.name}() expects {len(fn.params)} "
+                                  f"args, got {len(args)}")
+            return lowered(self.env, *args)
         gen = self.call_gen(fn, list(args))
         try:
             next(gen)

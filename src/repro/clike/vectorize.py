@@ -773,6 +773,9 @@ class _VecFnCodegen:
         from .compile import _FnCodegen
         sc = _FnCodegen(self.u, self.fn)
         sc.prepass()
+        if sc.retyped:
+            raise self.unsup(
+                f"conflicting redeclaration of {min(sc.retyped)!r}")
         self.names = sc.names
         self.arrays = set(sc.arrays)
         for name, (cls, t) in self.names.items():

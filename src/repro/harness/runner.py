@@ -22,16 +22,17 @@ like the NVIDIA samples do, and ``RunResult.ok`` reflects that.
 
 from __future__ import annotations
 
+import functools
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..clike import parse
 from ..clike.hostlib import HostEnv, _ExitSignal
 from ..clike.interp import Interp
 from ..cuda.runtime import CudaRuntime
-from ..device.engine import Device, exec_tier_override
+from ..device.engine import Device, exec_tier_override, resolve_exec_tier
 from ..device.perf import SimClock
 from ..device.specs import DeviceSpec, get_device_spec
 from ..errors import CudaApiError, ReproError
@@ -150,17 +151,58 @@ def _finish(name: str, mode: str, spec: DeviceSpec, env: HostEnv,
     )
 
 
-def _run_host(unit, env: HostEnv, dialect: str,
-              attach=None) -> Optional[int]:
+def _lower_host(interp: Interp, source: str, dialect: str,
+                extra: Dict[str, Any]) -> None:
+    """Swap the host program's tree-walk for generated code: codegen
+    through the content-addressed ``kernel_code_cache``, bound to this
+    run's file scope into ``interp.lowered``.  When ``main`` must
+    tree-walk instead, ``extra["host_fallback"]`` says why."""
+    # lazy: runs that never leave the interp tier skip loading codegen
+    from ..clike.compile import (CODEGEN_VERSION, CompileUnsupported,
+                                 bind_host, compile_host_unit)
+    from ..pipeline.cache import cache_key, kernel_code_cache
+    with get_tracer().span("compile:host", dialect=dialect) as span:
+        key = cache_key(source, dialect, {"codegen": str(CODEGEN_VERSION)},
+                        "host-codegen")
+        cache = kernel_code_cache()
+        cs = cache.get(key)
+        if cs is None or cs.codegen_version != CODEGEN_VERSION:
+            cs = compile_host_unit(interp.unit, dialect)
+            cache.put(key, cs, meta={"dialect": dialect,
+                                     "kind": "host-codegen"})
+        reason = cs.fallbacks.get("main", "no main() to lower")
+        if "main" in cs.kernel_names:
+            try:
+                interp.lowered = bind_host(interp, cs)
+                reason = None
+            except CompileUnsupported as e:
+                reason = str(e)
+        outcome = "lowered" if reason is None else "fallback"
+        span.set(outcome=outcome, reason=reason or "")
+        get_metrics().counter(f"harness.host.{outcome}").inc()
+    if reason is not None:
+        extra["host_fallback"] = reason
+
+
+def _run_host(unit, source: str, env: HostEnv, dialect: str,
+              attach=None) -> Tuple[Optional[int], Dict[str, Any]]:
+    """Run ``main``: tree-walked under the ``interp`` tier, lowered to
+    generated code under every other tier unless codegen falls back.
+    Returns the exit code and the run's ``RunResult.extra`` entries:
+    ``host_fallback`` says why a generated tier tree-walked."""
     interp = Interp(unit, env, dialect)
     interp.init_globals()
     if attach is not None:
         attach(interp)
+    extra: Dict[str, Any] = {}
+    if resolve_exec_tier() != "interp":
+        interp.lower = functools.partial(_lower_host, interp, source,
+                                         dialect, extra)
     try:
         ret = interp.call("main", [])
     except _ExitSignal as e:
-        return e.code
-    return int(ret) if ret is not None else 0
+        return e.code, extra
+    return (int(ret) if ret is not None else 0), extra
 
 
 def corpus_jobs(apps: Optional[Sequence[Any]] = None) -> List[Any]:
@@ -217,8 +259,8 @@ def run_opencl_app(name: str, host_source: str, kernel_source: str,
         env.define_constant(KERNEL_SOURCE_CONST,
                             env.intern_string(kernel_source))
         unit = parse(host_source, "host")
-        code = _run_host(unit, env, "host")
-        return _finish(name, "ocl-native", spec, env, fw.clock, code)
+        code, extra = _run_host(unit, host_source, env, "host")
+        return _finish(name, "ocl-native", spec, env, fw.clock, code, extra)
 
 
 def run_opencl_translated(name: str, host_source: str, kernel_source: str,
@@ -239,8 +281,8 @@ def run_opencl_translated(name: str, host_source: str, kernel_source: str,
         env.define_constant(KERNEL_SOURCE_CONST,
                             env.intern_string(kernel_source))
         unit = parse(host_source, "host")
-        code = _run_host(unit, env, "host")
-        extra = {"cuda_source": fw.last_cuda_source}
+        code, extra = _run_host(unit, host_source, env, "host")
+        extra["cuda_source"] = fw.last_cuda_source
         return _finish(name, "ocl->cuda", spec, env, fw.clock, code, extra)
 
 
@@ -262,8 +304,8 @@ def run_cuda_app(name: str, cu_source: str,
         def attach(interp: Interp) -> None:
             rt.attach(interp, env)
 
-        code = _run_host(unit, env, "cuda", attach)
-        return _finish(name, "cuda-native", spec, env, rt.clock, code)
+        code, extra = _run_host(unit, cu_source, env, "cuda", attach)
+        return _finish(name, "cuda-native", spec, env, rt.clock, code, extra)
 
 
 def run_cuda_translated(name: str, cu_source: str,
@@ -281,11 +323,11 @@ def run_cuda_translated(name: str, cu_source: str,
         rt = Cuda2OclRuntime(prog.device, device=Device(spec))
         rt.install(env)
         unit = parse(prog.host_source, "host")
-        code = _run_host(unit, env, "host")
-        extra = {
+        code, extra = _run_host(unit, prog.host_source, env, "host")
+        extra.update({
             "opencl_source": prog.device_source,
             "host_source": prog.host_source,
             "launches_translated": prog.launches_translated,
             "symbol_copies_translated": prog.symbol_copies_translated,
-        }
+        })
         return _finish(name, "cuda->ocl", spec, env, rt.clock, code, extra)

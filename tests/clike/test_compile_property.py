@@ -161,6 +161,30 @@ def test_generated_kernel_identical_vector(seed):
     assert r3.occupancy == r1.occupancy
 
 
+_COUNTED_STEP = """
+__kernel void prop(__global const float* fin, __global float* fout,
+                   __global const int* iin, __global int* iout,
+                   __local float* tmp, int n) {
+  int gid = get_global_id(0);
+  if (gid >= n) return;
+  iout[gid] = iin[gid];
+  for (int j = 0; j < 3; iout[gid * 1 + 0]++) j++;
+  fout[gid] = fin[gid];
+}
+"""
+
+
+def test_counted_loop_step_identical():
+    """A ``for`` step whose operand does arithmetic and touches memory:
+    its op counts and access hooks must match the interpreter's."""
+    f1, i1, r1, _ = _run_tier(_COUNTED_STEP, "interp")
+    f2, i2, r2, m2 = _run_tier(_COUNTED_STEP, "compiled")
+    assert "prop" in m2.compiled_entries
+    assert (f2, i2) == (f1, i1)
+    assert r2.counters == r1.counters
+    assert r2.time == r1.time
+
+
 # ---------------------------------------------------------------------------
 # auto-tier fallback on unsupported constructs
 # ---------------------------------------------------------------------------
@@ -257,6 +281,58 @@ def test_vector_demotion_counted():
     load_module(Device(GTX_TITAN), parse(_BUILTIN_CALL, "opencl"), "opencl",
                 exec_tier="vector")
     assert get_metrics().counter("engine.vector.fallback").value > before
+
+
+# ---------------------------------------------------------------------------
+# known divergence from C, held equal across tiers (DESIGN.md §14)
+# ---------------------------------------------------------------------------
+
+_BLOCK_SCOPE_KERNEL = """
+__kernel void scope(__global int* out, int n) {
+  int gid = get_global_id(0);
+  if (gid >= n) return;
+  int x = 1;
+  { float x = 2.5f; }
+  out[gid] = x;
+}
+"""
+
+_BLOCK_SCOPE_HOST = r"""
+int main(void) {
+  int x = 1;
+  { float x = 2.5f; }
+  printf("%d\n", x);
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("tier", ["interp", "compiled", "vector"])
+def test_block_scope_divergence_kernel(tier):
+    """The reference interpreter binds one variable per name per function
+    frame, so the inner ``float x`` rebinds the outer ``x``: C stores 1,
+    every tier stores 2 (the compiled tier through its retyped-name
+    path, not by falling back)."""
+    dev = Device(GTX_TITAN)
+    mod = load_module(dev, parse(_BLOCK_SCOPE_KERNEL, "opencl"), "opencl",
+                      exec_tier=tier)
+    if tier != "interp":
+        assert "scope" in mod.compiled_entries
+    p = dev.alloc_global(4 * N)
+    launch_kernel(dev, mod.get_kernel("scope"), [GROUPS], [BLOCK],
+                  [p.retype(T.INT), N])
+    got = dev.global_mem.typed_view(p.off, T.INT, N)
+    assert (got == 2).all()
+
+
+@pytest.mark.parametrize("tier", ["interp", "compiled", "vector"])
+def test_block_scope_divergence_host(tier):
+    """The same divergence in a host program: tree-walked and lowered
+    host code both print ``2`` where C prints ``1``."""
+    from repro.harness import run_opencl_app
+    res = run_opencl_app("scope", _BLOCK_SCOPE_HOST, "", exec_tier=tier)
+    assert "host_fallback" not in res.extra
+    assert res.stdout == "2\n"
 
 
 def test_bad_tier_rejected():

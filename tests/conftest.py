@@ -76,11 +76,52 @@ def corpus_exec_cases():
     return cases
 
 
+def corpus_translated_cases():
+    """``pytest.param(app, mode)`` per translated run: the untouched OpenCL
+    host program over the OpenCL->CUDA wrapper library (``ocl2cuda``) and
+    the statically rewritten CUDA host program (``cuda2ocl``)."""
+    import pytest
+    from repro.apps.base import all_apps
+    cases = []
+    for app in all_apps():
+        if app.has_opencl:
+            cases.append(pytest.param(app, "ocl2cuda",
+                                      id=f"{app.suite}/{app.name}-ocl2cuda"))
+        if app.has_cuda and app.cuda_runs_natively and app.cuda_translatable:
+            cases.append(pytest.param(app, "cuda2ocl",
+                                      id=f"{app.suite}/{app.name}-cuda2ocl"))
+    return cases
+
+
+#: corpus runs (``suite/app:mode``, perfbench's mode names) whose host
+#: ``main`` still tree-walks under the generated tiers, with the reason
+#: recorded in ``RunResult.extra["host_fallback"]``
+EXPECTED_HOST_FALLBACKS = {}
+
+_RUN_MODE = {"ocl": "ocl-native", "cuda": "cuda-native",
+             "ocl2cuda": "ocl2cuda", "cuda2ocl": "cuda2ocl"}
+
+
+def expected_host_fallback(app, mode):
+    """The pinned fallback reason of one corpus run, or None."""
+    return EXPECTED_HOST_FALLBACKS.get(
+        f"{app.suite}/{app.name}:{_RUN_MODE[mode]}")
+
+
 def run_app(app, mode, tier=None, device="titan"):
-    """Run one corpus app natively under ``mode`` ("ocl"/"cuda")."""
-    from repro.harness import run_cuda_app, run_opencl_app
+    """Run one corpus app under ``mode``: natively ("ocl"/"cuda") or
+    translated ("ocl2cuda"/"cuda2ocl")."""
+    from repro.harness import (run_cuda_app, run_cuda_translated,
+                               run_opencl_app, run_opencl_translated)
     if mode == "ocl":
         return run_opencl_app(app.name, app.opencl_host, app.opencl_kernels,
                               device=device, exec_tier=tier)
+    if mode == "ocl2cuda":
+        return run_opencl_translated(app.name, app.opencl_host,
+                                     app.opencl_kernels, device=device,
+                                     exec_tier=tier)
+    if mode == "cuda2ocl":
+        return run_cuda_translated(app.name, app.cuda_source,
+                                   device=device, exec_tier=tier)
     return run_cuda_app(app.name, app.cuda_source,
                         device=device, exec_tier=tier)

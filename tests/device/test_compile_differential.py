@@ -15,7 +15,9 @@ simulated device is charged for.
 import pytest
 
 from repro.observability import Tracer, activate
-from tests.conftest import corpus_exec_cases, find_app, run_app as _run
+from tests.conftest import (corpus_exec_cases, corpus_translated_cases,
+                            expected_host_fallback, find_app,
+                            run_app as _run)
 
 
 def _assert_identical(interp, compiled):
@@ -46,6 +48,20 @@ def test_corpus_app_byte_identical(app, mode):
     _assert_identical(interp, compiled)
     vector = _run(app, mode, "vector")
     _assert_identical(interp, vector)
+    assert vector.extra.get("host_fallback") == expected_host_fallback(
+        app, mode)
+
+
+@pytest.mark.parametrize("app,mode", corpus_translated_cases())
+def test_translated_app_byte_identical(app, mode):
+    """The wrapper-backed ``ocl2cuda`` runs and the rewritten ``cuda2ocl``
+    host programs: lowered host code and generated kernels against the
+    interpreter."""
+    interp = _run(app, mode, "interp")
+    vector = _run(app, mode, "vector")
+    _assert_identical(interp, vector)
+    assert vector.extra.get("host_fallback") == expected_host_fallback(
+        app, mode)
 
 
 # ---------------------------------------------------------------------------
