@@ -12,6 +12,8 @@ test tree is a package and pytest runs from the repo root.
 
 from __future__ import annotations
 
+import pytest
+
 
 def pytest_addoption(parser):
     parser.addoption(
@@ -125,3 +127,35 @@ def run_app(app, mode, tier=None, device="titan"):
                                    device=device, exec_tier=tier)
     return run_cuda_app(app.name, app.cuda_source,
                         device=device, exec_tier=tier)
+
+
+@pytest.fixture(scope="session")
+def shared_run():
+    """``shared_run(app, mode, tier=None, device="titan")`` ->
+    ``(RunResult, kernel: span names)`` of one traced :func:`run_app`,
+    made once per test session.
+
+    Runs are deterministic, so the suites that compare against the same
+    reference (the execution smoke, the pure-observer suite and the
+    differential suites all check against the ``interp`` run) reuse it
+    instead of simulating it again.  The run under test is still made
+    fresh by each test.  ``tier=None`` means the ambient tier.  Treat the
+    result as read-only.
+    """
+    from repro.device.engine import resolve_exec_tier
+    from repro.observability import Tracer, activate
+    runs = {}
+
+    def run(app, mode, tier=None, device="titan"):
+        key = (app.suite, app.name, mode, resolve_exec_tier(tier), device)
+        hit = runs.get(key)
+        if hit is None:
+            tracer = Tracer()
+            with activate(tracer):
+                result = run_app(app, mode, tier, device)
+            hit = runs[key] = (
+                result, [s.name for s in tracer.finished
+                         if s.name.startswith("kernel:")])
+        return hit
+
+    return run

@@ -61,13 +61,13 @@ def _assert_invisible(plain, plain_spans, debugged, debug_spans, transcript):
 
 
 @pytest.mark.parametrize("app,mode", corpus_exec_cases())
-def test_debugger_attach_is_invisible(app, mode):
+def test_debugger_attach_is_invisible(app, mode, shared_run):
     try:
         kernel = _first_kernel(app, mode)
     except LookupError:
         pytest.skip("host-only app: no kernel to attach to")
     for tier in ("interp", "vector"):
-        plain, plain_spans = _traced(lambda: run_app(app, mode, tier))
+        plain, plain_spans = shared_run(app, mode, tier)
         (transcript, debugged), debug_spans = _traced(
             lambda: run_script(app.suite, app.name, kernel, ["run"],
                                mode=mode, exec_tier=tier))

@@ -39,11 +39,11 @@ def _assert_identical(interp, compiled):
 
 
 @pytest.mark.parametrize("app,mode", corpus_exec_cases())
-def test_corpus_app_byte_identical(app, mode):
+def test_corpus_app_byte_identical(app, mode, shared_run):
     """One interpreter reference run per app, compared against both
     generated-code tiers (scalar ``compiled`` and warp-batched
     ``vector``)."""
-    interp = _run(app, mode, "interp")
+    interp, _ = shared_run(app, mode, "interp")
     compiled = _run(app, mode, "compiled")
     _assert_identical(interp, compiled)
     vector = _run(app, mode, "vector")
@@ -53,11 +53,11 @@ def test_corpus_app_byte_identical(app, mode):
 
 
 @pytest.mark.parametrize("app,mode", corpus_translated_cases())
-def test_translated_app_byte_identical(app, mode):
+def test_translated_app_byte_identical(app, mode, shared_run):
     """The wrapper-backed ``ocl2cuda`` runs and the rewritten ``cuda2ocl``
     host programs: lowered host code and generated kernels against the
     interpreter."""
-    interp = _run(app, mode, "interp")
+    interp, _ = shared_run(app, mode, "interp")
     vector = _run(app, mode, "vector")
     _assert_identical(interp, vector)
     assert vector.extra.get("host_fallback") == expected_host_fallback(
@@ -92,11 +92,11 @@ def test_kernel_span_counts_match(suite, name, mode):
     assert spans["vector"] == spans["interp"]
 
 
-def test_auto_tier_matches_interp():
+def test_auto_tier_matches_interp(shared_run):
     """The ``auto`` tier (compile lazily, fall back per kernel) is also
     output-identical on a real app."""
     app = find_app("rodinia", "gaussian")
-    interp = _run(app, "ocl", "interp")
+    interp, _ = shared_run(app, "ocl", "interp")
     auto = _run(app, "ocl", "auto")
     _assert_identical(interp, auto)
 
@@ -137,7 +137,7 @@ def test_corpus_kernel_demotes_vector_to_compiled():
     assert mod.compile_fallbacks == {}
 
 
-def test_corpus_kernel_demotes_through_both_edges():
+def test_corpus_kernel_demotes_through_both_edges(shared_run):
     """Bottom edge: the templated toolkit kernel falls past the scalar
     tier too, recorded as a chained reason, and runs via the
     interpreter."""
@@ -146,6 +146,6 @@ def test_corpus_kernel_demotes_through_both_edges():
     assert mod.vector_fallbacks["templ_kernel"].startswith("scalar fallback:")
     assert "templ_kernel" not in mod.compiled_entries
     app = find_app("toolkit", "template")
-    interp = _run(app, "cuda", "interp")
+    interp, _ = shared_run(app, "cuda", "interp")
     vector = _run(app, "cuda", "vector")
     _assert_identical(interp, vector)
