@@ -37,10 +37,10 @@ at slightly different points under the two tiers.
 
 *Host mode* (:func:`compile_host_unit`) lowers a host program's ``main``
 and its callees with the same emitter into plain functions: no barrier
-protocol, no access hooks or op counts (the host environment's hooks are
-no-ops), identifiers the emitter cannot bind statically resolved through
-the run's environment on every evaluation, and CUDA ``<<<...>>>``
-launches handed to the environment's launch hook.
+protocol, no op counts (the host environment has no launch counters; its
+access hooks are no-ops), identifiers the emitter cannot bind statically
+resolved through the run's environment on every evaluation, and CUDA
+``<<<...>>>`` launches handed to the environment's launch hook.
 """
 
 from __future__ import annotations
@@ -285,11 +285,17 @@ def _sfptr(p, name):
 
 
 def _memb(env, base, name, site):
-    """Generic ``base.name`` rvalue (non-static base); only a struct
-    field access is hooked."""
+    """Generic ``base.name`` rvalue (non-static base)."""
+    if isinstance(base, Vec):
+        idx = swizzle_indices(name, base.ctype.count)
+        if idx is None:
+            raise InterpError(f"bad swizzle .{name} on {base.ctype}")
+        return base.get(idx)
     if isinstance(base, StructRef):
         return _sfld(env, base, name, site)
-    return _hmemb(base, name)
+    if hasattr(base, name) and not isinstance(base, (int, float, Ptr)):
+        return getattr(base, name)
+    raise InterpError(f"cannot access .{name} on {type(base).__name__}")
 
 
 def _bop(env, op, a, b, rt):
@@ -450,122 +456,10 @@ _ONE = (0,)
 # ---------------------------------------------------------------------------
 # host-mode helpers
 #
-# Host programs run under HostEnv, whose on_load/on_store/count_op are
-# ExecEnv's no-ops, so host-mode code calls these hook-free twins of the
-# access helpers above (same values, same errors, no ``env``/``site``).
+# Host programs call the access helpers above too: HostEnv keeps
+# ExecEnv's no-op access_site/count_op.  These cover what only host code
+# does: per-run identifiers, attribute stores and CUDA launches.
 # ---------------------------------------------------------------------------
-
-def _hldix(p, i):
-    if type(p) is not Ptr:
-        if isinstance(p, list):
-            return p[int(i)]
-        if not isinstance(p, Ptr):
-            raise InterpError(f"cannot index into {type(p).__name__}")
-    if type(i) is not int:
-        i = int(i)
-    ct = p.ctype
-    sz = ct.size or 1
-    off = p.off + i * sz
-    mem = p.mem
-    if type(ct) is _Scalar:
-        if off < 0 or off + sz > mem._size:
-            mem._check(off, sz)
-        return _UNPACK[ct.name](mem._mv, off)[0]
-    return Ptr(mem, off, ct).load()
-
-
-def _hstp(p, v):
-    p.store(coerce(v, p.ctype))
-    return v
-
-
-def _hstix(p, i, v):
-    if not isinstance(p, Ptr):
-        if isinstance(p, list):
-            p[int(i)] = v
-            return v
-        raise InterpError(f"cannot index into {type(p).__name__}")
-    ct = p.ctype
-    off = p.off + int(i) * (ct.size or 1)
-    if type(ct) is _Scalar and type(v) in (int, float, bool):
-        # write_scalar applies coerce's wrap/float conversion itself
-        p.mem.write_scalar(off, ct, v)
-    else:
-        Ptr(p.mem, off, ct).store(coerce(v, ct))
-    return v
-
-
-def _hstpc(p, op, v):
-    rhs = _apply_binop(op, p.load(), v, None)
-    p.store(coerce(rhs, p.ctype))
-    return rhs
-
-
-def _hstixc(p, i, op, v):
-    if not isinstance(p, Ptr):
-        if isinstance(p, list):
-            ix = int(i)
-            p[ix] = rhs = _apply_binop(op, p[ix], v, None)
-            return rhs
-        raise InterpError(f"cannot index into {type(p).__name__}")
-    return _hstpc(p.add(int(i)), op, v)
-
-
-def _hincp(p, delta, post):
-    old = p.load()
-    p.store(coerce(old.add(delta) if isinstance(old, Ptr) else old + delta,
-                   p.ctype))
-    return old if post else p.load()
-
-
-def _hvset_m(p, idx, v):
-    vt = p.ctype
-    p.store(coerce(p.load().with_set(idx, coerce(v, _velem_t(vt, idx))), vt))
-    return p.load().get(idx)
-
-
-def _hvaug_m(p, idx, op, v):
-    vt = p.ctype
-    rhs = _apply_binop(op, p.load().get(idx), v, None)
-    p.store(coerce(p.load().with_set(idx, coerce(rhs, _velem_t(vt, idx))),
-                   vt))
-    return p.load().get(idx)
-
-
-def _hsfld(sref, name):
-    fptr = sref.field_ptr(name)
-    if isinstance(fptr.ctype, T.ArrayType):
-        return Ptr(fptr.mem, fptr.off, fptr.ctype.elem)
-    return fptr.load()
-
-
-def _harrow(p, name):
-    if isinstance(p, Ptr) and isinstance(p.ctype, T.StructType):
-        return _hsfld(StructRef(p.mem, p.off, p.ctype), name)
-    raise InterpError("-> on non-struct-pointer value")
-
-
-def _hmemb(base, name):
-    """``base.name`` rvalue: vector swizzle, struct field, or attribute of
-    an opaque object (texture reference)."""
-    if isinstance(base, Vec):
-        idx = swizzle_indices(name, base.ctype.count)
-        if idx is None:
-            raise InterpError(f"bad swizzle .{name} on {base.ctype}")
-        return base.get(idx)
-    if isinstance(base, StructRef):
-        return _hsfld(base, name)
-    if hasattr(base, name) and not isinstance(base, (int, float, Ptr)):
-        return getattr(base, name)
-    raise InterpError(f"cannot access .{name} on {type(base).__name__}")
-
-
-def _hbop(op, a, b, rt):
-    r = _apply_binop(op, a, b, None)
-    if rt is not None and isinstance(r, int) and op in ("+", "-", "*", "<<"):
-        r = coerce(r, rt)
-    return r
-
 
 def _hid(env, name, line):
     """Identifier not statically resolvable, looked up through the run's
@@ -630,12 +524,8 @@ def _base_namespace() -> Dict[str, Any]:
         "_callx": _callx, "_callb": _callb, "_dynid": _dynid,
         "_incr": _incr, "_pinc": _pinc,
         "_barexpr": _barexpr, "_budget": _budget, "_ONE": _ONE,
-        "_hldix": _hldix, "_hstp": _hstp, "_hstix": _hstix,
-        "_hstpc": _hstpc, "_hstixc": _hstixc, "_hincp": _hincp,
-        "_hvset_m": _hvset_m, "_hvaug_m": _hvaug_m, "_hsfld": _hsfld,
-        "_harrow": _harrow, "_hmemb": _hmemb, "_hbop": _hbop, "_hid": _hid,
-        "_hattr": _hattr, "_hattrc": _hattrc, "_hsetattr": _hsetattr,
-        "_launch": _launch,
+        "_hid": _hid, "_hattr": _hattr, "_hattrc": _hattrc,
+        "_hsetattr": _hsetattr, "_launch": _launch,
         "_Ptr": Ptr, "Vec": Vec, "StructRef": StructRef,
         "_PtrT": T.PointerType, "_ArrT": T.ArrayType, "_vt": T.vector,
         "_OpqT": T.OpaqueType,
@@ -760,8 +650,8 @@ class _UnitCodegen:
         self.unit = unit
         self.dialect_name = dialect_name
         self.dialect = get_dialect(dialect_name)
-        #: host mode: plain functions (no barrier protocol), no access
-        #: hooks or op counts, identifiers resolved per run
+        #: host mode: plain functions (no barrier protocol), no op
+        #: counts, identifiers resolved per run
         self.host = host
         self.barrier_names = frozenset(
             () if host else BARRIER_NAMES.get(dialect_name, ()))
@@ -950,22 +840,6 @@ class _FnCodegen:
     def truth(self, code: str, kind: str) -> str:
         return code if kind in "ifp" else f"_tr({code})"
 
-    def acc(self, helper: str, *args: str, site: Optional[int] = None) -> str:
-        """Call of access helper ``_<helper>``: hooked (``env`` plus an
-        access site) in device mode, its hook-free twin ``_h<helper>`` in
-        host mode."""
-        if self.host:
-            return f"_h{helper}({', '.join(args)})"
-        if site is None:
-            site = self.site()
-        return f"_{helper}(env, {', '.join(args)}, {site})"
-
-    def ld(self, p: str, site: Optional[int] = None) -> str:
-        """Load through pointer code ``p`` (``_ldp``)."""
-        if self.host:
-            return f"{p}.load()" if p.isidentifier() else f"({p}).load()"
-        return f"_ldp(env, {p}, {self.site() if site is None else site})"
-
     # -- prepass -------------------------------------------------------------
 
     def prepass(self) -> None:
@@ -1052,15 +926,16 @@ class _FnCodegen:
             # mem
             if name in self.arrays:
                 return f"Md_{name}", "p"
-            return self.ld(f"M_{name}"), k
+            return f"_ldp(env, M_{name}, {self.site()})", k
         if name in self.u.sym_names:
             # module symbol type: find the decl
             for d in self.u.unit.decls:
                 if isinstance(d, A.VarDecl) and d.name == name:
                     if isinstance(d.type, T.ArrayType):
                         return f"Gd_{name}", "p"
-                    return self.ld(f"G_{name}"), _kind_of(d.type)
-            return self.ld(f"G_{name}"), "?"
+                    return (f"_ldp(env, G_{name}, {self.site()})",
+                            _kind_of(d.type))
+            return f"_ldp(env, G_{name}, {self.site()})", "?"
         if name in self.u.gv_names:
             return f"__GV[{name!r}]", "?"
         if name in self.u.fns:
@@ -1188,8 +1063,6 @@ class _FnCodegen:
         rt = e.ctype
         rtref = (self.tref(rt) if isinstance(rt, T.ScalarType)
                  and not rt.floating else "None")
-        if self.host:
-            return f"_hbop({op!r}, {a}, {b}, {rtref})", "?"
         return f"_bop(env, {op!r}, {a}, {b}, {rtref})", "?"
 
     def unop(self, e: A.UnOp, cnt: List[int],
@@ -1202,7 +1075,8 @@ class _FnCodegen:
             return code, "p"
         if op == "*":
             code, k = self.expr(e.operand, cnt)
-            return self.ld(code), _kind_of(e.ctype)
+            rt = e.ctype
+            return f"_ldp(env, {code}, {self.site()})", _kind_of(rt)
         code, k = self.expr(e.operand, cnt)
         if op == "-":
             if k in "if":
@@ -1255,7 +1129,7 @@ class _FnCodegen:
             # memory ident falls through to the pointer path
         code, pt = self.lv_ptr(t, cnt)
         post = "True" if e.postfix else "False"
-        call = self.acc("incp", code, str(delta), post)
+        call = f"_incp(env, {code}, {delta}, {post}, {self.site()})"
         if as_stmt:
             self.w(call)
             return "", "?"
@@ -1287,8 +1161,8 @@ class _FnCodegen:
                 p, pt = self.lv_ptr(e.base, cnt)
                 s = self.site()
                 t = self.tmp()
-                return (f"({self.ld(p, s)}, ({t} := {idx}), "
-                        f"{self.ld(p, s)}.get(({t},)))[2]", ek)
+                return (f"(_ldp(env, {p}, {s}), ({t} := {idx}), "
+                        f"_ldp(env, {p}, {s}).get(({t},)))[2]", ek)
             raise self.unsup("vector index on this base")
         base, bk = self.expr(e.base, cnt)
         idx, ik = self.expr(e.index, cnt)
@@ -1297,7 +1171,7 @@ class _FnCodegen:
             elem = bt.pointee
         elif isinstance(bt, T.ArrayType):
             elem = bt.elem
-        return (self.acc("ldix", base, idx),
+        return (f"_ldix(env, {base}, {idx}, {self.site()})",
                 _kind_of(elem) if elem is not None else "?")
 
     def member(self, e: A.Member, cnt: List[int]) -> Tuple[str, str]:
@@ -1312,21 +1186,23 @@ class _FnCodegen:
                     return f"{_CUDA_SPECIALS[name]}[{_XYZ[e.name]}]", "i"
         if e.arrow:
             base, bk = self.expr(e.base, cnt)
-            return self.acc("arrow", base, repr(e.name)), _kind_of(e.ctype)
+            return (f"_arrow(env, {base}, {e.name!r}, {self.site()})",
+                    _kind_of(e.ctype))
         if isinstance(bt, T.VectorType):
             idx = swizzle_indices(e.name, bt.count)
             base, bk = self.expr(e.base, cnt)
             if idx is None or bk != "v":
                 # _memb re-derives the swizzle and raises interp's errors
-                return self.acc("memb", base, repr(e.name)), "?"
+                return (f"_memb(env, {base}, {e.name!r}, {self.site()})", "?")
             if len(idx) == 1:
                 ek = "f" if bt.base.floating else "i"
                 return f"({base}).get(({idx[0]},))", ek
             return f"({base}).get({tuple(idx)!r})", "v"
         base, bk = self.expr(e.base, cnt)
         if bk == "s":
-            return self.acc("sfld", base, repr(e.name)), _kind_of(e.ctype)
-        return self.acc("memb", base, repr(e.name)), "?"
+            return (f"_sfld(env, {base}, {e.name!r}, {self.site()})",
+                    _kind_of(e.ctype))
+        return f"_memb(env, {base}, {e.name!r}, {self.site()})", "?"
 
     # -- casts / sizeof ------------------------------------------------------
 
@@ -1574,11 +1450,12 @@ class _FnCodegen:
             base, bk = self.expr(t.base, cnt)
             idx, ik = self.expr(t.index, cnt)
             site = self.site()
-            rhs, rk = self.expr(e.value, cnt)
             if op:
-                code = self.acc("stixc", base, idx, repr(op), rhs, site=site)
+                rhs, rk = self.expr(e.value, cnt)
+                code = f"_stixc(env, {base}, {idx}, {op!r}, {rhs}, {site})"
             else:
-                code = self.acc("stix", base, idx, rhs, site=site)
+                rhs, rk = self.expr(e.value, cnt)
+                code = f"_stix(env, {base}, {idx}, {rhs}, {site})"
             if as_stmt:
                 self.w(code)
                 return "", "?"
@@ -1599,10 +1476,10 @@ class _FnCodegen:
         site = self.site()
         rhs, rk = self.expr(e.value, cnt)
         if e.op:
-            code = self.acc("stpc", p, repr(e.op), rhs, site=site)
+            code = f"_stpc(env, {p}, {e.op!r}, {rhs}, {site})"
             k = "?"
         else:
-            code = self.acc("stp", p, rhs, site=site)
+            code = f"_stp(env, {p}, {rhs}, {site})"
             k = rk
         if as_stmt:
             self.w(code)
@@ -1692,11 +1569,11 @@ class _FnCodegen:
             rhs, rk = self.expr(e.value, cnt)
             # Index lvalues evaluate (and load) the base vector first
             if e.op:
-                store = self.acc("vaug_m", p, f"({idx},)", repr(e.op), rhs,
-                                 site=site)
+                code = (f"(_ldp(env, {p}, {site}), _vaug_m(env, {p}, "
+                        f"({idx},), {e.op!r}, {rhs}, {site}))[1]")
             else:
-                store = self.acc("vset_m", p, f"({idx},)", rhs, site=site)
-            code = f"({self.ld(p, site)}, {store})[1]"
+                code = (f"(_ldp(env, {p}, {site}), _vset_m(env, {p}, "
+                        f"({idx},), {rhs}, {site}))[1]")
             if as_stmt:
                 self.w(code)
                 return "", "?"
@@ -1726,10 +1603,10 @@ class _FnCodegen:
             site = self.site()
             rhs, rk = self.expr(e.value, cnt)
             if e.op:
-                code = self.acc("vaug_m", p, sidx, repr(e.op), rhs,
-                                site=site)
+                code = (f"_vaug_m(env, {p}, {sidx}, {e.op!r}, {rhs}, "
+                        f"{site})")
             else:
-                code = self.acc("vset_m", p, sidx, rhs, site=site)
+                code = f"_vset_m(env, {p}, {sidx}, {rhs}, {site})"
             if as_stmt:
                 self.w(code)
                 return "", "?"
@@ -1977,10 +1854,7 @@ class _FnCodegen:
             self.ind += 1
             self.w("break")
             self.ind -= 1
-        if isinstance(s.step, A.UnOp) and s.step.op in ("++", "--"):
-            # the step's value is unused: skip the postfix temp tuple
-            self.expr_stmt(s.step)
-        elif s.step is not None:
+        if s.step is not None:
             cnt = [0, 0]
             code, _ = self.expr(s.step, cnt)
             self.flush(cnt)
@@ -2287,8 +2161,8 @@ def compile_host_unit(unit: A.TranslationUnit,
     """Lower a host program's ``main`` and its callees (host mode).
 
     Host mode emits plain functions (host code never reaches a barrier),
-    fires no access hooks and counts no ops (``HostEnv`` keeps
-    ``ExecEnv``'s no-op ``on_load``/``on_store``/``count_op``), resolves
+    counts no ops (``HostEnv`` has no launch counters; it keeps
+    ``ExecEnv``'s no-op ``access_site``/``count_op``), resolves
     environment identifiers on every evaluation, and runs CUDA
     ``<<<...>>>`` launches through the environment's ``__cuda_launch__``.
     Functions outside the covered subset are recorded in ``fallbacks``

@@ -181,6 +181,12 @@ class ExecEnv:
     def count_op(self, kind: str, n: int = 1) -> None:
         pass
 
+    def access_site(self, mem: Memory, off: int, nbytes: int, site: int,
+                    load: bool) -> None:
+        """One access at a generated-code site (``repro.clike.compile``
+        helpers); the hook-level twin of :meth:`on_load`/:meth:`on_store`."""
+        pass
+
     # -- strings -------------------------------------------------------------------
 
     def intern_string(self, s: str) -> Ptr:
@@ -389,10 +395,6 @@ class Interp:
         #: (host programs lowered by ``repro.clike.compile``); :meth:`call`
         #: runs these instead of tree-walking
         self.lowered: Dict[str, Callable[..., Any]] = {}
-        #: run once, by the first :meth:`call`, to fill ``lowered``: a host
-        #: program is lowered when it is entered, so its codegen counts
-        #: toward the call it speeds up
-        self.lower: Optional[Callable[[], None]] = None
 
     # -- globals ---------------------------------------------------------------
 
@@ -500,9 +502,6 @@ class Interp:
         fn = self.functions.get(name)
         if fn is None:
             raise InterpError(f"undefined function {name!r}")
-        if self.lower is not None:
-            lower, self.lower = self.lower, None
-            lower()
         lowered = self.lowered.get(name)
         if lowered is not None:
             if len(args) != len(fn.params):

@@ -22,7 +22,6 @@ like the NVIDIA samples do, and ``RunResult.ok`` reflects that.
 
 from __future__ import annotations
 
-import functools
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -151,40 +150,30 @@ def _finish(name: str, mode: str, spec: DeviceSpec, env: HostEnv,
     )
 
 
-def _lower_host(interp: Interp, source: str, dialect: str,
-                extra: Dict[str, Any]) -> None:
-    """Swap the host program's tree-walk for generated code: codegen
-    through the content-addressed ``kernel_code_cache``, bound to this
-    run's file scope into ``interp.lowered``.  When ``main`` must
-    tree-walk instead, ``extra["host_fallback"]`` says why."""
+def _lower_host(interp: Interp, dialect: str) -> Optional[str]:
+    """Swap the host program's tree-walk for generated code bound to this
+    run's file scope (``interp.lowered``).  Returns why ``main`` must
+    tree-walk instead, or None.  Never raises: as with a kernel module,
+    any codegen or binding failure demotes the program to the
+    interpreter, so falling back costs time, never correctness."""
     # lazy: runs that never leave the interp tier skip loading codegen
-    from ..clike.compile import (CODEGEN_VERSION, CompileUnsupported,
-                                 bind_host, compile_host_unit)
-    from ..pipeline.cache import cache_key, kernel_code_cache
+    from ..clike.compile import bind_host, compile_host_unit
     with get_tracer().span("compile:host", dialect=dialect) as span:
-        key = cache_key(source, dialect, {"codegen": str(CODEGEN_VERSION)},
-                        "host-codegen")
-        cache = kernel_code_cache()
-        cs = cache.get(key)
-        if cs is None or cs.codegen_version != CODEGEN_VERSION:
+        try:
             cs = compile_host_unit(interp.unit, dialect)
-            cache.put(key, cs, meta={"dialect": dialect,
-                                     "kind": "host-codegen"})
-        reason = cs.fallbacks.get("main", "no main() to lower")
-        if "main" in cs.kernel_names:
-            try:
+            reason = cs.fallbacks.get("main", "no main() to lower")
+            if "main" in cs.kernel_names:
                 interp.lowered = bind_host(interp, cs)
                 reason = None
-            except CompileUnsupported as e:
-                reason = str(e)
+        except Exception as e:
+            reason = f"{type(e).__name__}: {e}"
         outcome = "lowered" if reason is None else "fallback"
         span.set(outcome=outcome, reason=reason or "")
         get_metrics().counter(f"harness.host.{outcome}").inc()
-    if reason is not None:
-        extra["host_fallback"] = reason
+    return reason
 
 
-def _run_host(unit, source: str, env: HostEnv, dialect: str,
+def _run_host(unit, env: HostEnv, dialect: str,
               attach=None) -> Tuple[Optional[int], Dict[str, Any]]:
     """Run ``main``: tree-walked under the ``interp`` tier, lowered to
     generated code under every other tier unless codegen falls back.
@@ -196,8 +185,9 @@ def _run_host(unit, source: str, env: HostEnv, dialect: str,
         attach(interp)
     extra: Dict[str, Any] = {}
     if resolve_exec_tier() != "interp":
-        interp.lower = functools.partial(_lower_host, interp, source,
-                                         dialect, extra)
+        reason = _lower_host(interp, dialect)
+        if reason is not None:
+            extra["host_fallback"] = reason
     try:
         ret = interp.call("main", [])
     except _ExitSignal as e:
@@ -259,7 +249,7 @@ def run_opencl_app(name: str, host_source: str, kernel_source: str,
         env.define_constant(KERNEL_SOURCE_CONST,
                             env.intern_string(kernel_source))
         unit = parse(host_source, "host")
-        code, extra = _run_host(unit, host_source, env, "host")
+        code, extra = _run_host(unit, env, "host")
         return _finish(name, "ocl-native", spec, env, fw.clock, code, extra)
 
 
@@ -281,7 +271,7 @@ def run_opencl_translated(name: str, host_source: str, kernel_source: str,
         env.define_constant(KERNEL_SOURCE_CONST,
                             env.intern_string(kernel_source))
         unit = parse(host_source, "host")
-        code, extra = _run_host(unit, host_source, env, "host")
+        code, extra = _run_host(unit, env, "host")
         extra["cuda_source"] = fw.last_cuda_source
         return _finish(name, "ocl->cuda", spec, env, fw.clock, code, extra)
 
@@ -304,7 +294,7 @@ def run_cuda_app(name: str, cu_source: str,
         def attach(interp: Interp) -> None:
             rt.attach(interp, env)
 
-        code, extra = _run_host(unit, cu_source, env, "cuda", attach)
+        code, extra = _run_host(unit, env, "cuda", attach)
         return _finish(name, "cuda-native", spec, env, rt.clock, code, extra)
 
 
@@ -323,7 +313,7 @@ def run_cuda_translated(name: str, cu_source: str,
         rt = Cuda2OclRuntime(prog.device, device=Device(spec))
         rt.install(env)
         unit = parse(prog.host_source, "host")
-        code, extra = _run_host(unit, prog.host_source, env, "host")
+        code, extra = _run_host(unit, env, "host")
         extra.update({
             "opencl_source": prog.device_source,
             "host_source": prog.host_source,

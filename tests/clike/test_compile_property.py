@@ -161,30 +161,6 @@ def test_generated_kernel_identical_vector(seed):
     assert r3.occupancy == r1.occupancy
 
 
-_COUNTED_STEP = """
-__kernel void prop(__global const float* fin, __global float* fout,
-                   __global const int* iin, __global int* iout,
-                   __local float* tmp, int n) {
-  int gid = get_global_id(0);
-  if (gid >= n) return;
-  iout[gid] = iin[gid];
-  for (int j = 0; j < 3; iout[gid * 1 + 0]++) j++;
-  fout[gid] = fin[gid];
-}
-"""
-
-
-def test_counted_loop_step_identical():
-    """A ``for`` step whose operand does arithmetic and touches memory:
-    its op counts and access hooks must match the interpreter's."""
-    f1, i1, r1, _ = _run_tier(_COUNTED_STEP, "interp")
-    f2, i2, r2, m2 = _run_tier(_COUNTED_STEP, "compiled")
-    assert "prop" in m2.compiled_entries
-    assert (f2, i2) == (f1, i1)
-    assert r2.counters == r1.counters
-    assert r2.time == r1.time
-
-
 # ---------------------------------------------------------------------------
 # auto-tier fallback on unsupported constructs
 # ---------------------------------------------------------------------------

@@ -485,6 +485,42 @@ def test_fallback_is_recorded():
     assert span.attrs["reason"] == reason
 
 
+def _nested_continue_program(depth):
+    loops = "".join(f"for (int i{k} = 0; i{k} < 2; i{k}++) {{ "
+                    f"if (i{k} == 1) continue; " for k in range(depth))
+    return f"""
+int main(void) {{
+  int n = 0;
+  int hits[2];
+  hits[0] = 0;
+  {loops}n++; hits[0] += 2; {"}" * depth}
+  printf("%d %d\\n", n, hits[0]);
+  return 0;
+}}
+"""
+
+
+@pytest.mark.parametrize("tier", ["compiled", "vector", "auto"])
+def test_codegen_error_falls_back(tier):
+    """Nested loops that use ``continue`` inside a stack frame nest the
+    generated code deeper than CPython allows, so binding it raises
+    ``SyntaxError``: ``main`` tree-walks with the error as its reason
+    and the run still matches the interpreter's."""
+    src = _nested_continue_program(12)
+    ref = _host_run(src, "interp")
+    tracer = Tracer()
+    with activate(tracer):
+        res = _host_run(src, tier)
+    reason = res.extra["host_fallback"]
+    assert reason.startswith("SyntaxError: "), reason
+    span, = [s for s in tracer.finished if s.name == "compile:host"]
+    assert (span.attrs["outcome"], span.attrs["reason"]) == (
+        "fallback", reason)
+    assert res.stdout == ref.stdout == "1 2\n"
+    assert res.exit_code == ref.exit_code == 0
+    assert res.sim_time == ref.sim_time
+
+
 def test_interp_tier_tree_walks():
     metrics = get_metrics()
     before = (metrics.counter("harness.host.lowered").value,
