@@ -8,7 +8,7 @@ corpus:
 * **cold** — one-shot ``translate_many`` with no cache and a throwaway
   pool, the IPMACC-style tool workflow the service is meant to outgrow;
 * **warm** — a resident :class:`~repro.service.ServiceHandle` (persistent
-  pool, sharded cache warmed by one replay round) serving ``CLIENTS``
+  pool, one cache warmed by one replay round) serving ``CLIENTS``
   concurrent well-behaved clients that replay the corpus in
   ``CHUNK``-job requests for ``ROUNDS`` rounds each, honoring
   ``retry_after`` backpressure on saturation.

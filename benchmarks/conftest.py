@@ -10,22 +10,23 @@ Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
-``--exec-tier interp|compiled|auto`` pins the device engine's execution
-tier for the whole benchmark session (default: leave the ambient choice —
-``$REPRO_EXEC_TIER`` or the engine default — untouched).  Simulated times
-are tier-invariant, so figure output is identical either way; only the
-wall-clock numbers move.
+``--exec-tier interp|compiled|vector`` pins the device engine's
+execution tier for the whole benchmark session (default: leave the
+ambient choice — ``$REPRO_EXEC_TIER`` or the engine default — untouched).
+Simulated times are tier-invariant, so figure output is identical either
+way; only the wall-clock numbers move.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.device.engine import EXEC_TIERS, exec_tier_override
+
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--exec-tier", default=None,
-        choices=("interp", "compiled", "auto"),
+        "--exec-tier", default=None, choices=EXEC_TIERS,
         help="device-engine execution tier for all benchmarks "
              "(default: ambient $REPRO_EXEC_TIER / engine default)")
 
@@ -33,10 +34,6 @@ def pytest_addoption(parser):
 @pytest.fixture(autouse=True, scope="session")
 def _exec_tier(request):
     tier = request.config.getoption("--exec-tier")
-    if tier is None:
-        yield None
-        return
-    from repro.device.engine import exec_tier_override
     with exec_tier_override(tier):
         yield tier
 

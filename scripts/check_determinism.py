@@ -66,6 +66,8 @@ import sys
 import time
 from collections import Counter
 
+from repro.device.engine import EXEC_TIERS
+
 #: structured fields compared per job, in print order
 FIELDS = ("ok", "error_type", "error_class", "error_category",
           "error_message", "error_traceback", "host_source", "device_source")
@@ -215,7 +217,7 @@ def check_exec_tiers(tier, runs) -> int:
     """Run the execution smoke plan under the requested tier(s); diff
     across tiers (for ``both``) and across repeat runs."""
     if tier == "all":
-        tiers = ["interp", "compiled", "vector"]
+        tiers = list(EXEC_TIERS)
     elif tier == "both":
         tiers = ["interp", "compiled"]
     else:
@@ -355,8 +357,7 @@ def main(argv=None) -> int:
                              "4 — explicit so single-CPU containers still "
                              "exercise the real pool)")
     parser.add_argument("--exec-tier", default=None,
-                        choices=("interp", "compiled", "vector", "auto",
-                                 "both", "all"),
+                        choices=EXEC_TIERS + ("both", "all"),
                         metavar="TIER",
                         help="also run the execution smoke plan under this "
                              "device-engine tier; 'both' diffs compiled "

@@ -16,6 +16,7 @@ import sys
 from typing import List, Optional
 
 from ..apps.base import all_apps, get_app
+from ..device.engine import EXEC_TIERS
 from .session import DebugCommandError, DebugSession
 
 
@@ -34,7 +35,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--device", default="titan",
                     help="device spec key (default: titan)")
     ap.add_argument("--exec-tier", default=None,
-                    choices=("interp", "compiled", "vector", "auto"),
+                    choices=EXEC_TIERS,
                     help="execution tier for the run (the debugged kernel "
                          "itself always drops to interp)")
     ap.add_argument("--script", default=None, metavar="FILE",

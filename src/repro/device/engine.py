@@ -15,6 +15,7 @@ coalescing models; the counts are scaled to the full grid.
 
 from __future__ import annotations
 
+import copy
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ from .specs import DeviceSpec, GTX_TITAN
 
 __all__ = ["Device", "DeviceModule", "KernelObject", "LocalArg",
            "load_module", "launch_kernel", "LaunchResult",
-           "exec_tier_override", "resolve_exec_tier",
+           "EXEC_TIERS", "exec_tier_override", "resolve_exec_tier",
            "LaunchProfile", "launch_profiling",
            "KernelDebugDriver", "debug_driver"]
 
@@ -64,11 +65,11 @@ _SP_CONSTANT = T.AddressSpace.CONSTANT
 #: tiers: ``interp`` walks the AST per work-item (reference semantics);
 #: ``compiled`` lowers kernels to generated Python at module load;
 #: ``vector`` additionally executes eligible kernels one numpy-batched
-#: warp per step; ``auto`` compiles lazily at the first launch of each
-#: module (scalar code).  Every non-interp tier demotes per kernel down
-#: the ladder ``vector -> compiled -> interp`` when codegen does not
-#: cover a construct (DESIGN.md §9 and §11).
-_EXEC_TIERS = ("interp", "compiled", "vector", "auto")
+#: warp per step.  Every non-interp tier demotes per kernel down the
+#: ladder ``vector -> compiled -> interp`` when codegen does not cover a
+#: construct (DESIGN.md §9 and §11).  Every ``--exec-tier`` flag takes
+#: its choices from this tuple.
+EXEC_TIERS = ("interp", "compiled", "vector")
 _EXEC_TIER_OVERRIDE: Optional[str] = None
 
 
@@ -78,18 +79,19 @@ def resolve_exec_tier(explicit: Optional[str] = None) -> str:
     tier = (explicit or _EXEC_TIER_OVERRIDE
             or os.environ.get("REPRO_EXEC_TIER") or "interp")
     tier = tier.strip().lower()
-    if tier not in _EXEC_TIERS:
-        raise DeviceError(
-            f"bad execution tier {tier!r} (expected one of {_EXEC_TIERS})")
+    if tier not in EXEC_TIERS:
+        raise DeviceError(f"bad execution tier {tier!r} "
+                          f"(EXEC_TIERS: {', '.join(EXEC_TIERS)})")
     return tier
 
 
 @contextmanager
 def exec_tier_override(tier: Optional[str]) -> Iterator[None]:
-    """Force a tier for modules loaded inside the block (tests/benches)."""
+    """Force a tier for modules loaded inside the block (tests/benches);
+    ``None`` leaves the current selection in force."""
     global _EXEC_TIER_OVERRIDE
     prev = _EXEC_TIER_OVERRIDE
-    _EXEC_TIER_OVERRIDE = tier
+    _EXEC_TIER_OVERRIDE = tier or prev
     try:
         yield
     finally:
@@ -181,7 +183,6 @@ class DeviceModule:
         #: ``compile_fallbacks``/``vector_fallbacks``: attaching the
         #: debugger to one kernel never changes how its siblings run.
         self.debug_demotions: Dict[str, str] = {}
-        self._compile_attempted = False
 
     def get_kernel(self, name: str) -> KernelObject:
         try:
@@ -243,8 +244,8 @@ def load_module(device: Device, unit: A.TranslationUnit,
         if fn.is_kernel and fn.body is not None:
             mod.kernels[fn.name] = KernelObject(fn.name, fn, mod)
     mod.exec_tier = resolve_exec_tier(exec_tier)
-    if mod.exec_tier in ("compiled", "vector"):
-        _compile_module(mod)  # eager; "auto" compiles at first launch
+    if mod.exec_tier != "interp":
+        _compile_module(mod)
     return mod
 
 
@@ -257,9 +258,6 @@ def _compile_module(mod: DeviceModule) -> None:
     through the interpreter.  Never raises: a codegen failure demotes the
     whole module to the interpreter.
     """
-    if mod._compile_attempted:
-        return
-    mod._compile_attempted = True
     from ..clike.compile import CODEGEN_VERSION, bind_unit, compile_unit
     from ..clike.printer import print_unit
     from ..clike.vectorize import bind_vector_unit
@@ -794,7 +792,6 @@ def _launch_kernel_impl(device: Device, kernel: KernelObject,
     occ = calc_occupancy(spec, threads_per_block, regs, shared_per_block)
     kt = kernel_time(launch.counters, spec, occ)
     if _PROFILE_SINK is not None:
-        import copy
         _PROFILE_SINK.append(LaunchProfile(
             kernel=kernel.name,
             framework=framework,
@@ -844,13 +841,9 @@ def _run_group(launch: _LaunchEnv, group: Tuple[int, int, int],
     drv = _DEBUG_DRIVER
     debug = drv is not None and drv.wants(mod, kernel.fn.name)
     launch.debug_driver = drv if debug else None
-    entry = ventry = None
-    if mod.exec_tier != "interp":
-        if not mod._compile_attempted:
-            _compile_module(mod)  # auto tier: compile at first launch
-        entry = mod.compiled_entries.get(kernel.fn.name)
-        if mod.exec_tier == "vector":
-            ventry = mod.vector_entries.get(kernel.fn.name)
+    entry = mod.compiled_entries.get(kernel.fn.name)
+    ventry = (mod.vector_entries.get(kernel.fn.name)
+              if mod.exec_tier == "vector" else None)
     if debug and (entry is not None or ventry is not None):
         # demote only the debugged kernel to the interpreter; sibling
         # kernels in the same module keep their selected tier
@@ -936,15 +929,6 @@ def _drive_group(launch: _LaunchEnv, programs: List[Any]) -> None:
     else:
         epochs = sched.run()
     launch.counters.barriers += epochs * sched.num_warps
-    if os.environ.get("REPRO_WARP_SPANS", "0") not in ("", "0"):
-        # per-warp epoch markers (default off: span differential tests
-        # compare kernel: sequences, and a span per warp per group is
-        # far too hot for production tracing)
-        tracer = get_tracer()
-        for w in range(sched.num_warps):
-            with tracer.span(f"warp:{launch.kernel.name}", warp=w,
-                             epochs=epochs, lanes=sched.num_lanes):
-                pass
 
 
 def _account_traces(launch: _LaunchEnv, threads: int, mode_bits: int) -> None:

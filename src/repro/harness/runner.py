@@ -23,7 +23,6 @@ like the NVIDIA samples do, and ``RunResult.ok`` reflects that.
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -87,16 +86,6 @@ def _resolve_cache(cache: CacheArg) -> Optional[TranslationCache]:
         return cache
     raise TypeError(f"cache= must be a TranslationCache, None, or "
                     f"{_SHARED!r}; got {cache!r}")
-
-
-def _tier_ctx(exec_tier: Optional[str]):
-    """Scope a device-engine execution-tier override for one run.
-
-    ``None`` (the default) leaves the ambient selection — an enclosing
-    :func:`~repro.device.engine.exec_tier_override` or
-    ``$REPRO_EXEC_TIER`` — untouched.
-    """
-    return exec_tier_override(exec_tier) if exec_tier else nullcontext()
 
 
 @dataclass
@@ -240,7 +229,7 @@ def run_opencl_app(name: str, host_source: str, kernel_source: str,
                    exec_tier: Optional[str] = None) -> RunResult:
     """Original OpenCL program on the native simulated OpenCL framework."""
     spec = _resolve_device(device)
-    with _tier_ctx(exec_tier), \
+    with exec_tier_override(exec_tier), \
             get_tracer().span(f"run:ocl-native:{name}", device=spec.name):
         PTR_TABLE.reset()
         env = HostEnv()
@@ -262,7 +251,7 @@ def run_opencl_translated(name: str, host_source: str, kernel_source: str,
     spec = _resolve_device(device)
     if not spec.supports_cuda:
         raise CudaApiError(38, f"{spec.name} does not support CUDA")
-    with _tier_ctx(exec_tier), \
+    with exec_tier_override(exec_tier), \
             get_tracer().span(f"run:ocl->cuda:{name}", device=spec.name):
         PTR_TABLE.reset()
         env = HostEnv()
@@ -283,7 +272,7 @@ def run_cuda_app(name: str, cu_source: str,
     spec = _resolve_device(device)
     if not spec.supports_cuda:
         raise CudaApiError(38, f"{spec.name} does not support CUDA")
-    with _tier_ctx(exec_tier), \
+    with exec_tier_override(exec_tier), \
             get_tracer().span(f"run:cuda-native:{name}", device=spec.name):
         PTR_TABLE.reset()
         env = HostEnv()
@@ -305,7 +294,7 @@ def run_cuda_translated(name: str, cu_source: str,
     """The CUDA program translated to OpenCL (static host rewriting +
     wrapper runtime), on any OpenCL device (Fig. 3)."""
     spec = _resolve_device(device)
-    with _tier_ctx(exec_tier), \
+    with exec_tier_override(exec_tier), \
             get_tracer().span(f"run:cuda->ocl:{name}", device=spec.name):
         PTR_TABLE.reset()
         prog = translate_cuda_program(cu_source, cache=_resolve_cache(cache))

@@ -13,11 +13,11 @@ retried paths are bit-for-bit identical — see
 """
 
 from .batch import BatchStats, JobResult, TranslationJob, translate_many
-from .cache import (CacheStats, DiskTier, ShardedTranslationCache,
-                    TranslationCache, cache_key, result_sources)
+from .cache import (CacheStats, DiskTier, TranslationCache, cache_key,
+                    result_sources)
 from .faults import FaultAction, FaultPlan
 
-__all__ = ["TranslationCache", "ShardedTranslationCache", "DiskTier",
-           "CacheStats", "cache_key", "result_sources",
+__all__ = ["TranslationCache", "DiskTier", "CacheStats", "cache_key",
+           "result_sources",
            "TranslationJob", "JobResult", "BatchStats", "translate_many",
            "FaultAction", "FaultPlan"]

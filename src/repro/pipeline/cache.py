@@ -25,12 +25,10 @@ Two tiers:
   (``cache.evict{tier=disk}`` counts them).
 
 Concurrency: :class:`TranslationCache` serializes every operation on one
-lock, which is fine for the batch pipeline (parent-process access only)
-but makes concurrent service clients convoy.  :class:`ShardedTranslationCache`
-splits the LRU into N independently locked shards selected by key prefix —
-same observable contents, N-way lock parallelism — over a single shared
-:class:`DiskTier`.  ``tests/pipeline/test_cache_sharded.py`` holds the
-sharded cache byte-equivalent to the unsharded one.
+lock.  The batch pipeline, the harness runners and the translation
+service's concurrent clients all share it; the seeded storms in
+``tests/pipeline/test_cache.py`` hold that no committed entry is lost and
+the disk bound holds under concurrent writers.
 
 Simulated time is *not* affected by the cache: the
 :class:`~repro.device.perf.SimClock` build charge models the paper's
@@ -48,15 +46,15 @@ import pickle
 import threading
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..observability import get_metrics, get_tracer
 
 __all__ = ["cache_key", "result_sources", "CacheStats", "DiskTier",
-           "TranslationCache", "ShardedTranslationCache",
-           "kernel_code_cache", "DISK_LIMIT_ENV", "parse_bytes"]
+           "TranslationCache", "kernel_code_cache", "DISK_LIMIT_ENV",
+           "parse_bytes"]
 
 #: on-disk artifact format version; bump to invalidate old artifacts
 ARTIFACT_VERSION = 1
@@ -143,17 +141,11 @@ class CacheStats:
                 "disk_hits": self.disk_hits, "disk_writes": self.disk_writes,
                 "hit_rate": round(self.hit_rate, 4)}
 
-    def add(self, other: "CacheStats") -> "CacheStats":
-        for f in ("hits", "misses", "evictions", "puts", "invalidations",
-                  "disk_hits", "disk_writes"):
-            setattr(self, f, getattr(self, f) + getattr(other, f))
-        return self
-
 
 class DiskTier:
-    """The on-disk artifact store shared by one or more memory shards.
+    """The on-disk artifact store behind a :class:`TranslationCache`.
 
-    Owns its own lock (lock order is always shard → tier, never back), the
+    Owns its own lock (lock order is always cache → tier, never back), the
     artifact encode/decode/verify logic, and the size bound: when
     ``limit_bytes`` is set, every store evicts least-recently-used
     artifacts (by mtime; loads refresh it) until the tier fits.  A single
@@ -331,25 +323,20 @@ class DiskTier:
 class TranslationCache:
     """Content-addressed LRU cache for translation results.
 
-    Thread-safe; the process-pool batch path only touches it from the
-    parent process, but the harness may be driven from worker threads (and
-    the service's shards are exactly this class, one lock each).
+    Thread-safe: the process-pool batch path only touches it from the
+    parent process, but the harness may be driven from worker threads and
+    the service's batch threads share one instance.
     """
 
     def __init__(self, capacity: int = 256,
                  cache_dir: "str | Path | None" = None,
-                 disk_limit_bytes: Optional[int] = None,
-                 disk_tier: Optional[DiskTier] = None) -> None:
+                 disk_limit_bytes: Optional[int] = None) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        if disk_tier is not None:
-            self._disk: Optional[DiskTier] = disk_tier
-        elif cache_dir is not None:
-            self._disk = DiskTier(cache_dir, disk_limit_bytes)
-        else:
-            self._disk = None
-        self.stats = CacheStats()
+        self._disk = DiskTier(cache_dir, disk_limit_bytes) \
+            if cache_dir is not None else None
+        self._stats = CacheStats()
         self._lock = threading.RLock()
         self._mem: "OrderedDict[str, Any]" = OrderedDict()
         # process-wide metrics, bound once so the hot path never
@@ -373,6 +360,13 @@ class TranslationCache:
     def disk_tier(self) -> Optional[DiskTier]:
         return self._disk
 
+    @property
+    def stats(self) -> CacheStats:
+        """A snapshot of the counters: later traffic does not move it, so
+        two reads give the counts between them."""
+        with self._lock:
+            return replace(self._stats)
+
     # -- lookup / store -----------------------------------------------------
 
     def get(self, key: str) -> Optional[Any]:
@@ -382,20 +376,20 @@ class TranslationCache:
             with self._lock:
                 if key in self._mem:
                     self._mem.move_to_end(key)
-                    self.stats.hits += 1
+                    self._stats.hits += 1
                     self._m_hits_mem.inc()
                     span.set(outcome="hit", tier="mem")
                     return self._mem[key]
                 result = self._disk.load(key) if self._disk is not None \
                     else None
                 if result is not None:
-                    self.stats.hits += 1
-                    self.stats.disk_hits += 1
+                    self._stats.hits += 1
+                    self._stats.disk_hits += 1
                     self._m_hits_disk.inc()
                     self._mem_store(key, result)
                     span.set(outcome="hit", tier="disk")
                     return result
-                self.stats.misses += 1
+                self._stats.misses += 1
                 self._m_misses.inc()
                 span.set(outcome="miss")
                 return None
@@ -407,12 +401,12 @@ class TranslationCache:
         with get_tracer().span("cache:put",
                                disk=self._disk is not None):
             with self._lock:
-                self.stats.puts += 1
+                self._stats.puts += 1
                 self._m_puts.inc()
                 self._mem_store(key, result)
                 if self._disk is not None:
                     self._disk.store(key, result, meta or {})
-                    self.stats.disk_writes += 1
+                    self._stats.disk_writes += 1
                     self._m_disk_writes.inc()
 
     def get_or_translate(self, key: str, translate: Callable[[], Any],
@@ -434,7 +428,7 @@ class TranslationCache:
             if self._disk is not None and self._disk.remove(key):
                 removed = True
             if removed:
-                self.stats.invalidations += 1
+                self._stats.invalidations += 1
                 self._m_invalidations.inc()
             return removed
 
@@ -473,7 +467,7 @@ class TranslationCache:
     def __repr__(self) -> str:  # pragma: no cover
         disk = f" dir={self.cache_dir}" if self._disk else ""
         return (f"<TranslationCache {len(self._mem)}/{self.capacity}{disk} "
-                f"hits={self.stats.hits} misses={self.stats.misses}>")
+                f"hits={self._stats.hits} misses={self._stats.misses}>")
 
     # -- in-memory LRU ------------------------------------------------------
 
@@ -482,7 +476,7 @@ class TranslationCache:
         self._mem.move_to_end(key)
         while len(self._mem) > self.capacity:
             self._mem.popitem(last=False)
-            self.stats.evictions += 1
+            self._stats.evictions += 1
             self._m_evictions.inc()
             self._m_evict_mem.inc()
 
@@ -495,106 +489,6 @@ class TranslationCache:
         fault-injection layer to target artifacts.
         """
         return self._disk.path(key) if self._disk is not None else None
-
-
-class ShardedTranslationCache:
-    """A :class:`TranslationCache` facade over N independently locked shards.
-
-    Shard selection hashes the key *prefix* (the first two characters of
-    the sha256 content address, uniform by construction), so concurrent
-    clients touching different entries proceed in parallel instead of
-    convoying on one LRU lock.  All shards share a single
-    :class:`DiskTier` — the on-disk layout, artifact format, and size
-    bound are identical to the unsharded cache, and
-    ``tests/pipeline/test_cache_sharded.py`` holds lookups byte-equivalent
-    to :class:`TranslationCache`.
-
-    ``capacity`` is the total across shards (each shard gets the ceiling
-    share, so aggregate capacity never shrinks below the requested one);
-    per-shard LRU order can diverge from a global LRU only through
-    capacity evictions, exactly like a set-associative cache vs a fully
-    associative one.
-    """
-
-    def __init__(self, capacity: int = 256,
-                 cache_dir: "str | Path | None" = None,
-                 shards: int = 8,
-                 disk_limit_bytes: Optional[int] = None) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.shards = shards
-        self._disk = DiskTier(cache_dir, disk_limit_bytes) \
-            if cache_dir is not None else None
-        per_shard = -(-capacity // shards)      # ceil
-        self._shards: Tuple[TranslationCache, ...] = tuple(
-            TranslationCache(capacity=per_shard, disk_tier=self._disk)
-            for _ in range(shards))
-
-    @property
-    def cache_dir(self) -> Optional[Path]:
-        return self._disk.dir if self._disk is not None else None
-
-    @property
-    def disk_tier(self) -> Optional[DiskTier]:
-        return self._disk
-
-    def shard_for(self, key: str) -> TranslationCache:
-        """The shard owning ``key`` (prefix-hashed; stable)."""
-        prefix = key[:2].encode("utf-8", "replace") or b"\x00"
-        return self._shards[int.from_bytes(prefix, "big") % self.shards]
-
-    # -- the TranslationCache surface, delegated ----------------------------
-
-    def get(self, key: str) -> Optional[Any]:
-        return self.shard_for(key).get(key)
-
-    def put(self, key: str, result: Any,
-            meta: Optional[Dict[str, Any]] = None) -> None:
-        self.shard_for(key).put(key, result, meta)
-
-    def get_or_translate(self, key: str, translate: Callable[[], Any],
-                         meta: Optional[Dict[str, Any]] = None) -> Any:
-        return self.shard_for(key).get_or_translate(key, translate, meta)
-
-    def invalidate(self, key: str) -> bool:
-        return self.shard_for(key).invalidate(key)
-
-    def clear(self, disk: bool = False) -> None:
-        for shard in self._shards:
-            shard.clear(disk=False)
-        if disk and self._disk is not None:
-            self._disk.clear()
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._shards)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.shard_for(key)
-
-    def keys(self) -> Iterator[str]:
-        out: List[str] = []
-        for shard in self._shards:
-            out.extend(shard.keys())
-        return iter(out)
-
-    def artifact_path(self, key: str) -> Optional[Path]:
-        return self._disk.path(key) if self._disk is not None else None
-
-    @property
-    def stats(self) -> CacheStats:
-        """Aggregate counters over every shard (computed on access)."""
-        total = CacheStats()
-        for shard in self._shards:
-            total.add(shard.stats)
-        return total
-
-    def __repr__(self) -> str:  # pragma: no cover
-        disk = f" dir={self.cache_dir}" if self._disk else ""
-        return (f"<ShardedTranslationCache {len(self)}/{self.capacity} "
-                f"x{self.shards}{disk}>")
 
 
 # ---------------------------------------------------------------------------

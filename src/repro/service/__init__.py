@@ -2,7 +2,7 @@
 
 ``repro.service`` turns the one-shot :func:`repro.pipeline.translate_many`
 tool into a resident daemon (:class:`TranslationService`): a persistent
-worker pool and sharded translation cache stay warm across requests,
+worker pool and one translation cache stay warm across requests,
 admission control sheds overload with retry hints, a circuit breaker
 fail-fasts targets that keep crashing workers, and the observability
 registry is exported over a local HTTP health endpoint.

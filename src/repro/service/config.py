@@ -54,7 +54,6 @@ class ServiceConfig:
     breaker_cooldown_s: float = 30.0    # open duration before a probe
     # shared cache
     cache_capacity: int = 512
-    cache_shards: int = 8
     cache_dir: Optional[str] = None
     disk_limit_bytes: Optional[int] = None
     # health/stats endpoint (asyncio HTTP on localhost)

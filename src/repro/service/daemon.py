@@ -4,8 +4,8 @@ Every batch entry point before this PR was a *tool*: spawn a process,
 spin up a pool, translate, exit — IPMACC-style (PAPERS.md), with the pool
 spin-up and cold caches re-paid per invocation.  The ROADMAP's north star
 is a *service*: translation requests arrive continuously from many
-clients, and the expensive state (worker processes, the sharded
-translation cache) stays resident between them.
+clients, and the expensive state (worker processes, the translation
+cache) stays resident between them.
 
 :class:`TranslationService` is that daemon:
 
@@ -43,7 +43,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..observability import Tracer, activate, get_metrics, get_tracer
 from ..pipeline.batch import JobResult, TranslationJob, translate_many
-from ..pipeline.cache import ShardedTranslationCache
+from ..pipeline.cache import TranslationCache
 from ..pipeline.faults import FaultPlan
 from .admission import AdmissionController, ServiceSaturated
 from .breaker import CircuitBreaker
@@ -58,7 +58,7 @@ class ServiceClosed(Exception):
     """The daemon is stopping/stopped; the request was not served."""
 
 
-#: sentinel for "build the default sharded cache from the config"
+#: sentinel for "build the default cache from the config"
 _DEFAULT_CACHE = object()
 
 
@@ -89,13 +89,12 @@ class TranslationService:
                  cache: Any = _DEFAULT_CACHE) -> None:
         self.config = config or ServiceConfig()
         if cache is _DEFAULT_CACHE:
-            self.cache: Any = ShardedTranslationCache(
+            self.cache: Optional[TranslationCache] = TranslationCache(
                 capacity=self.config.cache_capacity,
                 cache_dir=self.config.cache_dir,
-                shards=self.config.cache_shards,
                 disk_limit_bytes=self.config.disk_limit_bytes)
         else:
-            self.cache = cache          # a cache-like object, or None
+            self.cache = cache          # a TranslationCache, or None
         self.pool = ResidentPool(self.config.resolved_pool_workers())
         self.admission = AdmissionController(self.config.max_queued_jobs,
                                              self.config.max_queued_requests)
@@ -421,7 +420,7 @@ class TranslationService:
         if self.cache is not None:
             cache_stats = {"stats": self.cache.stats.as_dict(),
                            "entries": len(self.cache)}
-            tier = getattr(self.cache, "disk_tier", None)
+            tier = self.cache.disk_tier
             if tier is not None:
                 cache_stats["disk"] = tier.snapshot()
         return {"service": {"uptime_s": round(self.uptime_s, 3),

@@ -8,9 +8,9 @@ wrapping).  The kernel runs under both execution tiers on fresh devices and
 the suite asserts byte-identical output buffers, identical performance
 counters, and bit-for-bit identical modeled kernel time.
 
-A second group checks the ``auto`` tier's contract: unsupported constructs
-fall back to the interpreter per kernel, with the demotion recorded and the
-run still correct.
+A second group checks the ``compiled`` tier's contract: unsupported
+constructs fall back to the interpreter per kernel, with the demotion
+recorded and the run still correct.
 """
 
 import random
@@ -162,7 +162,7 @@ def test_generated_kernel_identical_vector(seed):
 
 
 # ---------------------------------------------------------------------------
-# auto-tier fallback on unsupported constructs
+# compiled-tier fallback on unsupported constructs
 # ---------------------------------------------------------------------------
 
 _SHADOW = """
@@ -182,24 +182,19 @@ def _launch_shadow(tier):
     return dev.global_mem.typed_view(p.off, T.INT, N).copy(), mod
 
 
-def test_auto_falls_back_on_unsupported():
+def test_compiled_tier_also_falls_back():
+    """The ``compiled`` tier demotes an unsupported kernel, with a reason,
+    instead of failing, and the kernel still runs correctly through the
+    interpreter."""
     before = get_metrics().counter("engine.compile.fallback").value
-    got_auto, mod = _launch_shadow("auto")
+    got, mod = _launch_shadow("compiled")
     got_interp, _ = _launch_shadow("interp")
-    # the construct was demoted, with a reason, and the kernel still ran
-    # correctly through the interpreter
     assert "shadow" in mod.compile_fallbacks
     assert "shadows parameter" in mod.compile_fallbacks["shadow"]
     assert "shadow" not in mod.compiled_entries
-    assert np.array_equal(got_auto, got_interp)
-    assert get_metrics().counter("engine.compile.fallback").value > before
-
-
-def test_compiled_tier_also_falls_back():
-    """Explicit ``compiled`` tier degrades the same way instead of failing."""
-    got, mod = _launch_shadow("compiled")
-    assert "shadow" in mod.compile_fallbacks
+    assert np.array_equal(got, got_interp)
     assert np.array_equal(got, np.arange(7, 7 + N, dtype=np.int32))
+    assert get_metrics().counter("engine.compile.fallback").value > before
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +306,12 @@ def test_block_scope_divergence_host(tier):
     assert res.stdout == "2\n"
 
 
-def test_bad_tier_rejected():
+@pytest.mark.parametrize("tier", ["jit", "auto"])
+def test_bad_tier_rejected(tier):
+    from repro.device.engine import EXEC_TIERS
     from repro.errors import DeviceError
     dev = Device(GTX_TITAN)
-    with pytest.raises(DeviceError, match="bad execution tier"):
+    with pytest.raises(DeviceError, match="bad execution tier") as err:
         load_module(dev, parse(_SHADOW, "opencl"), "opencl",
-                    exec_tier="jit")
+                    exec_tier=tier)
+    assert all(t in str(err.value) for t in EXEC_TIERS)

@@ -500,7 +500,7 @@ int main(void) {{
 """
 
 
-@pytest.mark.parametrize("tier", ["compiled", "vector", "auto"])
+@pytest.mark.parametrize("tier", ["compiled", "vector"])
 def test_codegen_error_falls_back(tier):
     """Nested loops that use ``continue`` inside a stack frame nest the
     generated code deeper than CPython allows, so binding it raises

@@ -1,5 +1,10 @@
 """Tests for the kernel execution engine, both dialects."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,8 +12,11 @@ from repro.clike import parse
 from repro.clike import types as T
 from repro.device import (Device, GTX_TITAN, HD7970, LocalArg, launch_kernel,
                           load_module)
+from repro.device.engine import exec_tier_override, resolve_exec_tier
 from repro.errors import DeviceError
 from repro.runtime.values import Ptr
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -358,3 +366,24 @@ class TestHD7970:
         p = dev.alloc_global(16)
         with pytest.raises(DeviceError):
             launch_kernel(dev, k, [1], [512], [p.retype(T.INT)])
+
+
+class TestExecTiers:
+    def test_override_none_keeps_current_tier(self):
+        with exec_tier_override("compiled"):
+            with exec_tier_override(None):
+                assert resolve_exec_tier() == "compiled"
+            with exec_tier_override("vector"):
+                assert resolve_exec_tier() == "vector"
+            assert resolve_exec_tier() == "compiled"
+
+    def test_benchmarks_take_every_tier(self):
+        """``pytest benchmarks --exec-tier`` takes its choices from
+        ``EXEC_TIERS``, so the figure benches can be pinned to the top
+        tier."""
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "benchmarks", "--exec-tier",
+             "vector", "--collect-only", "-q", "-p", "no:cacheprovider"],
+            cwd=REPO, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,8 +1,16 @@
-"""Unit tests for the content-addressed translation cache."""
+"""Unit tests for the content-addressed translation cache.
+
+The concurrent storms at the end are seeded (``random.Random(seed)``) so
+a failure reproduces: many threads share one cache, as the translation
+service's batch threads do.
+"""
 
 from __future__ import annotations
 
 import json
+import random
+import sys
+import threading
 
 import pytest
 
@@ -55,6 +63,17 @@ def test_lru_eviction_and_counters():
     assert c.stats.hits == 3 and c.stats.misses == 1
     assert c.stats.puts == 3
     assert 0.0 < c.stats.hit_rate < 1.0
+
+
+def test_stats_is_a_snapshot():
+    """Two reads of ``stats`` give the counts between them."""
+    c = TranslationCache(capacity=2)
+    before = c.stats
+    c.put("k1", "r1")
+    assert c.get("k1") == "r1" and c.get("k2") is None
+    after = c.stats
+    assert (before.puts, before.hits, before.misses) == (0, 0, 0)
+    assert (after.puts, after.hits, after.misses) == (1, 1, 1)
 
 
 def test_invalidate_and_clear():
@@ -345,3 +364,112 @@ def test_disk_evictions_surface_on_metrics():
     # eviction counter family exists and counted them
     disk_evict = snap.get("cache.evict{tier=disk}")
     assert disk_evict is not None and disk_evict["value"] > 0
+
+
+# -- concurrent storms ------------------------------------------------------
+
+def _storm(worker, n_threads):
+    """Run ``worker(t)`` on ``n_threads`` threads (more than the cores)
+    with a short switch interval, so threads interleave inside the
+    cache's critical sections; every thread must finish."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,))
+                   for t in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+
+
+@pytest.mark.parametrize("seed", [0, 1337, 20260809])
+def test_concurrent_storm_never_loses_committed_entries(seed):
+    """4 threads each commit 40 entries in their own keyspace while
+    hammering random gets/invalidate-recommit cycles across everyone's.
+    Afterwards every committed entry must be present with its exact value.
+    """
+    n_threads, n_keys = 4, 40
+    cache = TranslationCache(capacity=2048)
+    spaces = [[cache_key(f"t{t}-src{i}", "cuda", None, "s")
+               for i in range(n_keys)] for t in range(n_threads)]
+    all_keys = [k for space in spaces for k in space]
+    errors = []
+    start = threading.Barrier(n_threads)
+
+    def worker(t: int) -> None:
+        rng = random.Random(seed * 1000 + t)
+        mine = list(spaces[t])
+        rng.shuffle(mine)
+        try:
+            start.wait()
+            for i, k in enumerate(mine):
+                cache.put(k, f"val:{k}")
+                for _ in range(3):          # interleaved cross-traffic
+                    probe = rng.choice(all_keys)
+                    got = cache.get(probe)
+                    if got is not None and got != f"val:{probe}":
+                        errors.append(f"wrong value for {probe}: {got}")
+                if i % 7 == 0:              # invalidate+recommit my own
+                    victim = rng.choice(spaces[t])
+                    cache.invalidate(victim)
+                    cache.put(victim, f"val:{victim}")
+        except Exception as e:              # pragma: no cover
+            errors.append(repr(e))
+
+    _storm(worker, n_threads)
+    assert not errors
+    for k in all_keys:                      # nothing committed was lost
+        assert cache.get(k) == f"val:{k}"
+    assert cache.stats.evictions == 0       # capacity was never pressure
+    assert len(cache) == n_threads * n_keys
+
+
+@pytest.mark.parametrize("seed", [7, 4242])
+def test_concurrent_disk_bound_never_exceeded(tmp_path, seed):
+    """Concurrent writers against a small disk tier: the tier ends the
+    storm within its byte bound, evictions surface on the counters, and
+    every surviving artifact still loads cleanly."""
+    limit = 16 * 1024
+    cache = TranslationCache(capacity=8, cache_dir=tmp_path,
+                             disk_limit_bytes=limit)
+    n_threads, n_keys = 4, 30
+    payload = "x" * 600                     # artifact ends up ~1 KiB
+    spaces = [[cache_key(f"d{t}-{i}", "cuda", None, "s")
+               for i in range(n_keys)] for t in range(n_threads)]
+    errors = []
+    start = threading.Barrier(n_threads)
+
+    def worker(t: int) -> None:
+        rng = random.Random(seed * 77 + t)
+        try:
+            start.wait()
+            for k in spaces[t]:
+                cache.put(k, payload + k)
+                probe = rng.choice(spaces[t])
+                got = cache.get(probe)
+                if got is not None and got != payload + probe:
+                    errors.append(f"wrong value for {probe}")
+        except Exception as e:              # pragma: no cover
+            errors.append(repr(e))
+
+    _storm(worker, n_threads)
+    assert not errors
+
+    tier = cache.disk_tier
+    on_disk = sum(p.stat().st_size for p in tmp_path.glob("*/*.json"))
+    assert on_disk <= limit                 # the bound held
+    assert tier.total_bytes() == on_disk    # accounting is exact
+    assert tier.evictions > 0               # and the churn was visible
+    assert tier.snapshot()["evictions"] == tier.evictions
+
+    # survivors are readable by a fresh cache over the same directory
+    fresh = TranslationCache(cache_dir=tmp_path)
+    survivors = [p.stem for p in tmp_path.glob("*/*.json")]
+    assert survivors
+    for key in survivors:
+        got = fresh.get(key)
+        assert got is not None and got.endswith(key)

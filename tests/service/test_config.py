@@ -20,9 +20,10 @@ def test_resolved_pool_workers_override():
     assert ServiceConfig(pool_workers=5).resolved_pool_workers() == 5
 
 
-def test_from_dict_rejects_unknown_keys():
+@pytest.mark.parametrize("key", ["max_queued_jobz", "cache_shards"])
+def test_from_dict_rejects_unknown_keys(key):
     with pytest.raises(ValueError, match="unknown service config keys"):
-        ServiceConfig.from_dict({"max_queued_jobz": 3})
+        ServiceConfig.from_dict({key: 3})
 
 
 def test_from_file_roundtrip_and_config_path(tmp_path):
@@ -44,9 +45,9 @@ def test_from_env(tmp_path, monkeypatch):
     monkeypatch.delenv(CONFIG_ENV, raising=False)
     assert ServiceConfig.from_env() == ServiceConfig()
     path = tmp_path / "svc.json"
-    path.write_text(json.dumps({"cache_shards": 2}))
+    path.write_text(json.dumps({"cache_capacity": 2}))
     monkeypatch.setenv(CONFIG_ENV, str(path))
-    assert ServiceConfig.from_env().cache_shards == 2
+    assert ServiceConfig.from_env().cache_capacity == 2
 
 
 def test_reload_delta_covers_only_live_fields():
