@@ -1,6 +1,7 @@
 """Unit tests for the content-addressed translation cache.
 
-The concurrent storms at the end are seeded (``random.Random(seed)``) so
+A hypothesis property checks the memory tier against an ``OrderedDict``
+LRU reference model.  The concurrent storms at the end are seeded (``random.Random(seed)``) so
 a failure reproduces: many threads share one cache, as the translation
 service's batch threads do.
 """
@@ -11,8 +12,11 @@ import json
 import random
 import sys
 import threading
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.base import get_app
 from repro.device.specs import GTX_TITAN, HD7970
@@ -74,6 +78,53 @@ def test_stats_is_a_snapshot():
     after = c.stats
     assert (before.puts, before.hits, before.misses) == (0, 0, 0)
     assert (after.puts, after.hits, after.misses) == (1, 1, 1)
+
+
+MODEL_KEYS = [cache_key(f"__global__ void k{i}(int *p) {{}}", "cuda", None,
+                        "spec") for i in range(20)]
+
+OPS = st.lists(st.tuples(st.sampled_from(["put", "get", "inv", "has"]),
+                         st.integers(min_value=0,
+                                     max_value=len(MODEL_KEYS) - 1)),
+               max_size=80)
+
+
+@pytest.mark.parametrize("capacity", [3, 256], ids=["evicting", "roomy"])
+@settings(deadline=None, max_examples=60)
+@given(ops=OPS)
+def test_matches_lru_reference_model(capacity, ops):
+    """Every get/contains/invalidate answer, the LRU order and every
+    counter match a plain ``OrderedDict`` LRU, with and without capacity
+    pressure."""
+    cache = TranslationCache(capacity=capacity)
+    model: "OrderedDict[str, str]" = OrderedDict()
+    want = CacheStats()
+    for n, (op, i) in enumerate(ops):
+        k = MODEL_KEYS[i]
+        if op == "put":
+            cache.put(k, f"v{i}.{n}")
+            model[k] = f"v{i}.{n}"
+            model.move_to_end(k)
+            want.puts += 1
+            while len(model) > capacity:
+                model.popitem(last=False)
+                want.evictions += 1
+        elif op == "get":
+            expect = model.get(k)
+            if expect is None:
+                want.misses += 1
+            else:
+                model.move_to_end(k)
+                want.hits += 1
+            assert cache.get(k) == expect
+        elif op == "inv":
+            expect = model.pop(k, None) is not None
+            want.invalidations += expect
+            assert cache.invalidate(k) is expect
+        else:
+            assert (k in cache) == (k in model)
+    assert list(cache.keys()) == list(model)
+    assert cache.stats == want
 
 
 def test_invalidate_and_clear():
@@ -145,6 +196,37 @@ def test_disk_artifact_is_readable_json_with_sources(tmp_path):
     assert all(p["wall_s"] >= 0 for p in stats["passes"])
     assert artifact["host_source"] == prog.host_source
     assert artifact["device_source"] == prog.device_source
+
+
+def test_disk_artifacts_are_byte_identical_across_caches(tmp_path):
+    """An artifact is a pure function of key, result and meta: two caches
+    over different directories write it at the same relative path with
+    the same bytes."""
+    app = get_app("rodinia", "bfs")
+    prog = translate_cuda_program(app.cuda_source)
+    key = cache_key(app.cuda_source, "cuda", None, GTX_TITAN.name)
+    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+    TranslationCache(cache_dir=dir_a).put(key, prog, meta={"name": "bfs"})
+    TranslationCache(cache_dir=dir_b).put(key, prog, meta={"name": "bfs"})
+    (art_a,) = dir_a.glob("*/*.json")
+    (art_b,) = dir_b.glob("*/*.json")
+    assert art_a.relative_to(dir_a) == art_b.relative_to(dir_b)
+    assert art_a.read_bytes() == art_b.read_bytes()
+
+
+def test_caches_over_one_directory_share_the_disk_tier(tmp_path):
+    """Caches over one directory see each other's commits and
+    invalidations through the disk tier."""
+    c1 = TranslationCache(cache_dir=tmp_path)
+    for i, k in enumerate(MODEL_KEYS):
+        c1.put(k, f"v{i}")
+    c2 = TranslationCache(cache_dir=tmp_path)
+    assert all(c2.get(k) == f"v{i}" for i, k in enumerate(MODEL_KEYS))
+    assert c2.stats.disk_hits == len(MODEL_KEYS)
+    assert c2.invalidate(MODEL_KEYS[0]) is True
+    c3 = TranslationCache(cache_dir=tmp_path)
+    assert c3.get(MODEL_KEYS[0]) is None
+    assert c3.get(MODEL_KEYS[1]) == "v1"
 
 
 def test_corrupted_artifact_is_a_miss_and_removed(tmp_path):
@@ -386,14 +468,11 @@ def _storm(worker, n_threads):
     assert not any(th.is_alive() for th in threads)
 
 
-@pytest.mark.parametrize("seed", [0, 1337, 20260809])
-def test_concurrent_storm_never_loses_committed_entries(seed):
-    """4 threads each commit 40 entries in their own keyspace while
-    hammering random gets/invalidate-recommit cycles across everyone's.
-    Afterwards every committed entry must be present with its exact value.
-    """
-    n_threads, n_keys = 4, 40
-    cache = TranslationCache(capacity=2048)
+def _commit_storm(cache, seed, n_threads=4, n_keys=40):
+    """``n_threads`` threads each commit ``n_keys`` entries in their own
+    keyspace while hammering random gets/invalidate-recommit cycles across
+    everyone's; every value read must be the committed one.  Returns every
+    committed key."""
     spaces = [[cache_key(f"t{t}-src{i}", "cuda", None, "s")
                for i in range(n_keys)] for t in range(n_threads)]
     all_keys = [k for space in spaces for k in space]
@@ -422,10 +501,35 @@ def test_concurrent_storm_never_loses_committed_entries(seed):
 
     _storm(worker, n_threads)
     assert not errors
+    return all_keys
+
+
+@pytest.mark.parametrize("seed", [0, 1337, 20260809])
+def test_concurrent_storm_never_loses_committed_entries(seed):
+    """After a commit storm every committed entry is present with its
+    exact value."""
+    cache = TranslationCache(capacity=2048)
+    all_keys = _commit_storm(cache, seed)
     for k in all_keys:                      # nothing committed was lost
         assert cache.get(k) == f"val:{k}"
     assert cache.stats.evictions == 0       # capacity was never pressure
-    assert len(cache) == n_threads * n_keys
+    assert len(cache) == len(all_keys)
+
+
+@pytest.mark.parametrize("seed", [0, 1337, 20260809])
+def test_concurrent_storm_commits_reach_the_disk_tier(tmp_path, seed):
+    """The same storm over a disk-backed cache, as the service builds one
+    with a cache directory: every put is written through, no ``.tmp``
+    debris is left, and a fresh cache over the directory loads every
+    committed entry."""
+    cache = TranslationCache(capacity=2048, cache_dir=tmp_path)
+    all_keys = _commit_storm(cache, seed)
+    assert cache.stats.disk_writes == cache.stats.puts
+    assert not list(tmp_path.glob("*/*.tmp"))
+    fresh = TranslationCache(cache_dir=tmp_path)
+    for k in all_keys:
+        assert fresh.get(k) == f"val:{k}"
+    assert fresh.stats.disk_hits == len(all_keys)
 
 
 @pytest.mark.parametrize("seed", [7, 4242])

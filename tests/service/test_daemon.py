@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.pipeline.batch import TranslationJob
+from repro.pipeline.cache import TranslationCache
 from repro.pipeline.faults import FaultPlan
 from repro.service import (ServiceClient, ServiceClosed, ServiceConfig,
                            ServiceHandle, ServiceSaturated,
@@ -198,6 +199,36 @@ def test_hot_reload_survives_a_bad_config_file(tmp_path):
             assert svc.config.max_queued_jobs == 512      # unchanged
             assert svc.config_reloads == 0
     asyncio.run(main())
+
+
+# -- cache ------------------------------------------------------------------
+
+def test_service_builds_one_cache_from_config(tmp_path):
+    svc = TranslationService(_cfg(cache_capacity=7, cache_dir=str(tmp_path),
+                                  disk_limit_bytes=4096))   # never started
+    assert type(svc.cache) is TranslationCache
+    assert svc.cache.capacity == 7
+    assert svc.cache.cache_dir == tmp_path
+    assert svc.cache.disk_tier.limit_bytes == 4096
+
+
+def test_restarted_service_serves_from_the_disk_cache(tmp_path):
+    """A new service over the same cache directory answers from the
+    first one's artifacts without translating again."""
+    cfg = _cfg(cache_dir=str(tmp_path))
+    jobs = _jobs(3, tag="r")
+
+    async def main():
+        async with TranslationService(cfg) as svc:
+            first = await svc.submit(jobs, client="a")
+        async with TranslationService(cfg) as svc:
+            again = await svc.submit(jobs, client="a")
+            return first, again, svc.cache.stats
+
+    first, again, stats = asyncio.run(main())
+    assert all(r.ok and not r.cached for r in first)
+    assert all(r.ok and r.cached for r in again)
+    assert stats.disk_hits == len(jobs)
 
 
 # -- clients ----------------------------------------------------------------
