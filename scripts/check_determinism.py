@@ -155,9 +155,12 @@ def check_fault_pass(serial, faulted, plan) -> int:
 
 
 #: the execution smoke plan: kernel-heavy corpus apps with barriers, local
-#: memory, and (FT) multi-kernel launches — small enough to run in seconds
+#: memory, and (FT) multi-kernel launches — small enough to run in seconds.
+#: hybridsort (atomics in both dialects) and BlackScholes (sqrtf/expf)
+#: make builtin calls from generated kernels
 EXEC_SMOKE_APPS = (("npb", "FT"), ("rodinia", "gaussian"),
-                   ("rodinia", "nw"), ("toolkit", "vectorAdd"))
+                   ("rodinia", "nw"), ("toolkit", "vectorAdd"),
+                   ("rodinia", "hybridsort"), ("toolkit", "BlackScholes"))
 
 #: RunResult fields compared across execution tiers
 EXEC_FIELDS = ("ok", "exit_code", "stdout", "sim_time", "breakdown",

@@ -394,7 +394,7 @@ def _callx(gen, name):
 
 def _callb(env, name, line, conv, args):
     """Builtin / conversion call, mirroring ``Interp._eval_call`` tail."""
-    impl = env.builtin(name)
+    impl = env.bind_builtin(name)
     if impl is not None:
         return impl(*args)
     if conv is not None:

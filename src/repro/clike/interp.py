@@ -134,6 +134,11 @@ class ExecEnv:
         """A Python callable implementing built-in ``name``, or None."""
         return None
 
+    def bind_builtin(self, name: str) -> Optional[Callable[..., Any]]:
+        """:meth:`builtin` as generated code looks it up; an environment
+        may bind only the names its code calls."""
+        return self.builtin(name)
+
     def special_var(self, name: str) -> Any:
         """Value of implicitly-declared variable ``name``.
 

@@ -32,7 +32,7 @@ from ..observability import get_metrics, get_tracer
 from ..runtime.memory import Memory
 from ..runtime.values import Ptr, Vec, coerce
 from .banks import warp_transactions
-from .builtins import BARRIER_NAMES, make_builtins
+from .builtins import BARRIER_NAMES, BUILTIN_FACTORIES, make_builtins
 from .occupancy import KNOWN_COMPILERS, Occupancy, calc_occupancy, \
     estimate_registers
 from .perf import KernelTime, PerfCounters, kernel_time
@@ -473,7 +473,7 @@ class WorkItemEnv(ExecEnv):
     """Per-work-item execution environment."""
 
     __slots__ = ("launch", "lid", "gid", "group", "linear_lid", "_builtins",
-                 "stack", "_str_cache", "_str_top")
+                 "_bound", "stack", "_str_cache", "_str_top")
 
     def __init__(self, launch: _LaunchEnv, stack: Stack,
                  group: Tuple[int, int, int],
@@ -488,9 +488,10 @@ class WorkItemEnv(ExecEnv):
                     group[1] * block[1] + lid[1],
                     group[2] * block[2] + lid[2])
         self.linear_lid = (lid[2] * block[1] + lid[1]) * block[0] + lid[0]
-        # built lazily on first lookup: most compiled-tier work-items never
-        # call a builtin, and the table is ~100 closures per work-item
+        # the interpreter's whole table, built on its first lookup
         self._builtins: Optional[Dict[str, Callable[..., Any]]] = None
+        # generated code's bindings: only the names it called
+        self._bound: Optional[Dict[str, Callable[..., Any]]] = None
 
     # -- ids ------------------------------------------------------------------
 
@@ -520,6 +521,19 @@ class WorkItemEnv(ExecEnv):
             table = self._builtins = make_builtins(
                 self, self.launch.kernel.module.dialect)
         return table.get(name)
+
+    def bind_builtin(self, name: str) -> Optional[Callable[..., Any]]:
+        bound = self._bound
+        if bound is None:
+            bound = self._bound = {}
+        impl = bound.get(name)
+        if impl is None:
+            make = BUILTIN_FACTORIES[
+                self.launch.kernel.module.dialect].get(name)
+            if make is None:
+                return None
+            impl = bound[name] = make(self)
+        return impl
 
     def special_var(self, name: str) -> Any:
         if self.launch.kernel.module.dialect == "cuda":

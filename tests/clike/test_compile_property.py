@@ -315,3 +315,239 @@ def test_bad_tier_rejected(tier):
         load_module(dev, parse(_SHADOW, "opencl"), "opencl",
                     exec_tier=tier)
     assert all(t in str(err.value) for t in EXEC_TIERS)
+
+
+# ---------------------------------------------------------------------------
+# builtin binding: the interpreter builds the whole table per work-item,
+# generated code binds only the names it calls
+# ---------------------------------------------------------------------------
+
+_OCL_FAMILIES = r"""
+__kernel void fam(__global float* fout, __global int* iout,
+                  __global int* counter, __global const float* vin,
+                  __global float* vout, __read_only image2d_t img) {
+  int gid = get_global_id(0);
+  float x = (float)gid + 0.5f;
+  float s = sqrt(x) + native_exp(x * 0.01f);
+  int old = atomic_add(&counter[0], 3) + atom_inc(&counter[1]);
+  float4 px = read_imagef(img, CLK_NORMALIZED_COORDS_FALSE |
+                          CLK_ADDRESS_CLAMP_TO_EDGE | CLK_FILTER_NEAREST,
+                          (int2)(gid % 5, 0));
+  float4 v = vload4(gid, vin);
+  vstore4(v * 2.0f, gid, vout);
+  if (gid % 16 == 0) printf("wi %d s=%f px=%f\n", gid, s, px.y);
+  fout[gid] = s + px.x;
+  iout[gid] = old;
+}
+"""
+
+_CUDA_FAMILIES = r"""
+texture<float, 1, cudaReadModeElementType> tex;
+
+__global__ void fam(float* fout, unsigned int* iout, unsigned int* counter,
+                    int* clk) {
+  int gid = blockIdx.x * blockDim.x + threadIdx.x;
+  float x = (float)gid + 0.5f;
+  float s = sqrt(x) + expf(x * 0.01f);
+  unsigned int old = atomicAdd(&counter[0], 3u);
+  unsigned int wrap = atomicInc(&counter[1], 5u);
+  float t = tex1Dfetch(tex, gid % 8);
+  int c = (int)clock();
+  if (gid % 16 == 0) printf("wi %d s=%f t=%f\n", gid, s, t);
+  fout[gid] = s + t;
+  iout[gid] = old * 8u + wrap;
+  clk[gid] = c;
+}
+"""
+
+#: the builtins each work-item of ``fam`` calls through generated code;
+#: work-items with ``gid % 16 == 0`` also call printf
+_FAMILY_CALLS = {
+    "opencl": {"sqrt", "native_exp", "atomic_add", "atom_inc",
+               "read_imagef", "vload4", "vstore4"},
+    "cuda": {"sqrt", "expf", "atomicAdd", "atomicInc", "tex1Dfetch",
+             "clock"},
+}
+
+
+def _run_families(dialect, tier):
+    """One launch of ``fam`` on a fresh device.  Returns the output bytes,
+    the LaunchResult, the work-item environments, the number of whole
+    builtin tables built and the module."""
+    import repro.device.engine as engine
+
+    envs, tables = [], []
+    make_builtins = engine.make_builtins
+
+    class Recording(engine.WorkItemEnv):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            envs.append(self)
+
+    def counting(env, d):
+        tables.append(env)
+        return make_builtins(env, d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "WorkItemEnv", Recording)
+        mp.setattr(engine, "make_builtins", counting)
+        out, res, mod = _launch_families(dialect, tier)
+    return out, res, envs, len(tables), mod
+
+
+def _launch_families(dialect, tier):
+    from repro.device.images import ChannelFormat, DeviceImage
+    dev = Device(GTX_TITAN)
+    src = _OCL_FAMILIES if dialect == "opencl" else _CUDA_FAMILIES
+    mod = load_module(dev, parse(src, dialect), dialect, exec_tier=tier)
+    out_f, out_i = dev.alloc_global(4 * N), dev.alloc_global(4 * N)
+    counter = dev.alloc_global(8)
+    dev.global_mem.view(counter.off, 8)[:] = 0
+    if dialect == "opencl":
+        vin = _upload(dev, np.arange(4 * N, dtype=np.float32) * 0.25)
+        vout = dev.alloc_global(16 * N)
+        img = DeviceImage(2, (5, 1), ChannelFormat("RGBA", "FLOAT"))
+        img.data[...] = np.arange(20, dtype=np.float32).reshape(1, 5, 4)
+        args = [out_f.retype(T.FLOAT), out_i.retype(T.INT),
+                counter.retype(T.INT), vin.retype(T.FLOAT),
+                vout.retype(T.FLOAT), img]
+        extra = (vout, 16 * N)
+    else:
+        texels = _upload(dev, np.arange(8, dtype=np.float32) * 1.5)
+        mod.globals_values["tex"].bind_linear(texels, 32, 1 << 27)
+        clk = dev.alloc_global(4 * N)
+        args = [out_f.retype(T.FLOAT), out_i.retype(T.UINT),
+                counter.retype(T.UINT), clk.retype(T.INT)]
+        extra = (clk, 4 * N)
+    res = launch_kernel(dev, mod.get_kernel("fam"), [GROUPS], [BLOCK], args)
+    out = b"".join(bytes(dev.global_mem.view(p.off, n)) for p, n in
+                   ((out_f, 4 * N), (out_i, 4 * N), (counter, 8), extra))
+    return out, res, mod
+
+
+@pytest.mark.parametrize("dialect", ["opencl", "cuda"])
+def test_builtin_families_identical_across_tiers(dialect):
+    """One builtin of every env-bound family (SFU math, atomics with
+    CUDA's wrap-around atomicInc, printf, image/texture reads, vloadN/
+    vstoreN, clock) plus an alias: byte-identical outputs, counters,
+    modeled time and stdout under both tiers."""
+    o1, r1, envs1, tables1, _ = _run_families(dialect, "interp")
+    o2, r2, envs2, tables2, m2 = _run_families(dialect, "compiled")
+    assert "fam" in m2.compiled_entries, m2.compile_fallbacks
+    assert o2 == o1
+    assert r2.counters == r1.counters
+    assert r2.time == r1.time
+    assert r2.stdout == r1.stdout
+    assert len(r1.stdout) == N // 16
+    assert r1.counters.atomics == 2 * N
+    assert r1.counters.sfu_ops >= 2 * N
+    if dialect == "cuda":
+        # atomicInc(p, 5) wraps to 0 above 5: old values cycle 0..5
+        wraps = np.frombuffer(o1[4 * N:8 * N], np.uint32) % 8
+        assert sorted(wraps) == sorted(i % 6 for i in range(N))
+    # the interpreter builds the whole table once per work-item ...
+    assert tables1 == len(envs1) == N
+    # ... generated code never does, and each work-item holds only the
+    # names it called
+    assert tables2 == 0
+    assert len(envs2) == N
+    for env in envs2:
+        want = set(_FAMILY_CALLS[dialect])
+        if env.gid[0] % 16 == 0:
+            want.add("printf")
+        assert set(env._bound) == want, env.gid
+
+
+@pytest.mark.parametrize("dialect", ["opencl", "cuda"])
+def test_make_builtins_covers_every_factory(dialect):
+    """The eager table holds every name generated code can bind, and an
+    alias (sqrtf, native_sin, atom_add, ...) is its target's object."""
+    from repro.device.builtins import (BUILTIN_ALIASES, BUILTIN_FACTORIES,
+                                       make_builtins)
+    dev = Device(GTX_TITAN)
+    src = _OCL_FAMILIES if dialect == "opencl" else _CUDA_FAMILIES
+    mod = load_module(dev, parse(src, dialect), dialect, exec_tier="interp")
+    from repro.device.engine import WorkItemEnv, _LaunchEnv
+    launch = _LaunchEnv(dev, mod.get_kernel("fam"), dialect, (1, 1, 1),
+                        (1, 1, 1))
+    env = WorkItemEnv(launch, None, (0, 0, 0), (0, 0, 0))
+    table = make_builtins(env, dialect)
+    assert set(table) == set(BUILTIN_FACTORIES[dialect])
+    aliases = BUILTIN_ALIASES[dialect]
+    assert aliases
+    for alias, target in aliases.items():
+        assert table[alias] is table[target], alias
+    # the other names are each their own object, except the module-level
+    # functions several names share (min/fmin, length/fast_length, ...)
+    other = make_builtins(env, dialect)
+    own = [n for n in table if n not in aliases and table[n] is not other[n]]
+    assert len({id(table[n]) for n in own}) == len(own)
+    wanted = {"opencl": {"native_sin": "sin", "atom_add": "atomic_add"},
+              "cuda": {"sqrtf": "sqrt", "expf": "exp", "fabsf": "fabs"}}
+    assert wanted[dialect].items() <= aliases.items()
+
+
+# ---------------------------------------------------------------------------
+# builtin edge cases, pinned on every tier they can run under
+# ---------------------------------------------------------------------------
+
+_SCALAR_GEOMETRY = """
+__kernel void geo(__global float* out) {
+  int i = get_global_id(0);
+  float a = (float)i * 0.5f - 2.0f;
+  out[3 * i] = dot(a, 2.0f);
+  out[3 * i + 1] = distance(a, 0.5f);
+  out[3 * i + 2] = normalize(a);
+}
+"""
+
+
+@pytest.mark.parametrize("tier", ["interp", "compiled", "vector"])
+def test_geometric_builtins_take_scalars(tier):
+    """dot/distance/normalize accept scalar floats (OpenCL 1.2 §6.12.5):
+    a*b, |a-b| and a/|a|, with normalize(0) returning 0."""
+    dev = Device(GTX_TITAN)
+    mod = load_module(dev, parse(_SCALAR_GEOMETRY, "opencl"), "opencl",
+                      exec_tier=tier)
+    p = dev.alloc_global(4 * 3 * BLOCK)
+    launch_kernel(dev, mod.get_kernel("geo"), [1], [BLOCK],
+                  [p.retype(T.FLOAT)])
+    got = dev.global_mem.typed_view(p.off, T.FLOAT, 3 * BLOCK).reshape(-1, 3)
+    a = np.arange(BLOCK, dtype=np.float32) * 0.5 - 2.0
+    assert np.array_equal(got[:, 0], a * 2)
+    assert np.array_equal(got[:, 1], np.abs(a - 0.5))
+    assert np.array_equal(got[:, 2], np.sign(a))
+
+
+_VECTOR_POINTEE = """
+__kernel void vl(__global float4* p, __global float* out) {
+  float4 v = vload4(0, p);
+  out[get_global_id(0)] = v.x;
+}
+__kernel void vs(__global float4* p) {
+  vstore2((float2)(1.0f, 2.0f), 0, p);
+}
+"""
+
+
+@pytest.mark.parametrize("tier", ["interp", "compiled"])
+@pytest.mark.parametrize("kernel,builtin", [("vl", "vload4"),
+                                            ("vs", "vstore2")])
+def test_vload_vstore_need_scalar_pointee(tier, kernel, builtin):
+    """vloadN/vstoreN through a pointer to a vector type is a located
+    InterpError naming the builtin and the pointee, not a bare assert."""
+    from repro.errors import InterpError
+    dev = Device(GTX_TITAN)
+    mod = load_module(dev, parse(_VECTOR_POINTEE, "opencl"), "opencl",
+                      exec_tier=tier)
+    if tier == "compiled":
+        assert kernel in mod.compiled_entries
+    p = dev.alloc_global(64)
+    args = [p.retype(T.vector("float", 4))]
+    if kernel == "vl":
+        args.append(dev.alloc_global(64).retype(T.FLOAT))
+    with pytest.raises(InterpError,
+                       match=rf"{builtin} through a pointer to float4"):
+        launch_kernel(dev, mod.get_kernel(kernel), [1], [1], args)
