@@ -157,10 +157,12 @@ def check_fault_pass(serial, faulted, plan) -> int:
 #: the execution smoke plan: kernel-heavy corpus apps with barriers, local
 #: memory, and (FT) multi-kernel launches — small enough to run in seconds.
 #: hybridsort (atomics in both dialects) and BlackScholes (sqrtf/expf)
-#: make builtin calls from generated kernels
+#: make builtin calls from generated kernels; matrixMul and oclMatrixMul
+#: bind array types in both sections of their generated modules
 EXEC_SMOKE_APPS = (("npb", "FT"), ("rodinia", "gaussian"),
                    ("rodinia", "nw"), ("toolkit", "vectorAdd"),
-                   ("rodinia", "hybridsort"), ("toolkit", "BlackScholes"))
+                   ("rodinia", "hybridsort"), ("toolkit", "BlackScholes"),
+                   ("toolkit", "matrixMul"), ("toolkit", "oclMatrixMul"))
 
 #: RunResult fields compared across execution tiers
 EXEC_FIELDS = ("ok", "exit_code", "stdout", "sim_time", "breakdown",

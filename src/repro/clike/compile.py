@@ -45,6 +45,8 @@ resolved through the run's environment on every evaluation, and CUDA
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -57,18 +59,16 @@ from .dialect import get_dialect
 from .interp import (WARP_OP_KINDS, WarpOp, _apply_binop, _c_div, _c_mod,
                      _memvar_names, _op_kind, _pointer_binop, _reinterpret,
                      _truth)
+from .printer import print_unit
 from .sema import resolve_conversion
 from .stdlib import swizzle_indices
 
 #: hot-path alias: ``type(ct) is _Scalar`` in the per-access helpers
 _Scalar = T.ScalarType
 
-__all__ = ["CODEGEN_VERSION", "CompileUnsupported", "CompiledSource",
-           "compile_unit", "bind_unit", "compile_host_unit", "bind_host",
+__all__ = ["CompileUnsupported", "CompiledSource", "compile_unit",
+           "compile_module", "bind_unit", "compile_host_unit", "bind_host",
            "host_globals"]
-
-#: bump to invalidate cached compiled artifacts when codegen changes
-CODEGEN_VERSION = 3
 
 _MAX_LOOP_ITERS = 50_000_000
 
@@ -79,32 +79,28 @@ class CompileUnsupported(Exception):
 
 @dataclass
 class CompiledSource:
-    """Result of :func:`compile_unit` (or :func:`compile_host_unit`):
-    generated Python source plus the per-function coverage map.
-    Picklable, so it travels through the content-addressed disk cache;
-    ``host_source``/``device_source`` satisfy the cache's stale-artifact
-    check and make the artifact a readable codegen dump."""
+    """Result of :func:`compile_unit` (or :func:`compile_host_unit`): one
+    module's generated Python in two sections that :func:`bind_unit` runs
+    into one namespace, plus the per-function coverage maps.
+
+    The scalar section defines ``_F_<name>`` per lowered function (one
+    generator per work-item); the warp section, ``_W_<kernel>`` per
+    vectorized kernel (one generator per warp; empty in host mode).
+    ``code``/``vector_code`` hold each section's code object once
+    :func:`bind_unit` has compiled it."""
 
     source: str
     #: entry points the source defines: the covered kernels, or in host
     #: mode every lowered function
     kernel_names: List[str]
     fallbacks: Dict[str, str] = field(default_factory=dict)
-    codegen_version: int = CODEGEN_VERSION
-    #: warp-batched (vector tier) codegen output; kernels missing from
-    #: ``vector_kernel_names`` demote to the scalar compiled form above,
-    #: with the reason recorded in ``vector_fallbacks``
+    #: kernels missing from ``vector_kernel_names`` demote to the scalar
+    #: section, with the reason recorded in ``vector_fallbacks``
     vector_source: str = ""
     vector_kernel_names: List[str] = field(default_factory=list)
     vector_fallbacks: Dict[str, str] = field(default_factory=dict)
-
-    @property
-    def host_source(self) -> str:
-        return ""
-
-    @property
-    def device_source(self) -> str:
-        return self.source
+    code: Any = None
+    vector_code: Any = None
 
 
 # ---------------------------------------------------------------------------
@@ -762,12 +758,47 @@ class _UnitCodegen:
             if (f.is_kernel or self.host) and f.body is not None
             and f.name in chunks]
         mode = ", host" if self.host else ""
-        parts = [f"# generated by repro.clike.compile v{CODEGEN_VERSION} "
+        parts = [f"# generated by repro.clike.compile "
                  f"(dialect={self.dialect_name}{mode})"]
         parts.extend(self._ty_lines)
         parts.extend(chunks[n] for n in order if n in chunks)
-        return CompiledSource("\n".join(parts) + "\n", kernel_names,
-                             fallbacks)
+        cs = CompiledSource("\n".join(parts) + "\n", kernel_names,
+                            fallbacks)
+        if not self.host:
+            self._warp_section(cs)
+        return cs
+
+    def _warp_section(self, cs: CompiledSource) -> None:
+        """Offer every scalar-compiled kernel to the warp-batched emitter
+        (:mod:`repro.clike.vectorize`), filling ``cs.vector_*``.
+
+        A vector-eligible kernel is always scalar-eligible too: kernels
+        the scalar section lacks are recorded as scalar fallbacks, so the
+        vector tier demotes through the same chain.  The section starts
+        with the type prelude lines its kernels added; the ones both
+        sections use are bound by the scalar section, which runs first.
+        """
+        # local import: vectorize imports this module for the shared tables
+        from .vectorize import _VecFnCodegen
+        first_ty = len(self._ty_lines)
+        chunks: List[str] = []
+        for fn in self.unit.functions():
+            if not fn.is_kernel or fn.body is None:
+                continue
+            if fn.name not in cs.kernel_names:
+                why = cs.fallbacks.get(fn.name, "not scalar-compiled")
+                cs.vector_fallbacks[fn.name] = f"scalar fallback: {why}"
+                continue
+            try:
+                chunks.append(_VecFnCodegen(self, fn).emit())
+                cs.vector_kernel_names.append(fn.name)
+            except CompileUnsupported as exc:
+                cs.vector_fallbacks[fn.name] = str(exc)
+            except Exception as exc:  # safety net: demote, never crash
+                cs.vector_fallbacks[fn.name] = f"{type(exc).__name__}: {exc}"
+        if chunks:
+            cs.vector_source = "\n".join(
+                self._ty_lines[first_ty:] + chunks) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -2149,11 +2180,36 @@ def compile_unit(unit: A.TranslationUnit, dialect: str) -> CompiledSource:
     top rung of the ``vector -> compiled -> interp`` demotion ladder.
     Never raises for per-function issues.
     """
-    cs = _UnitCodegen(unit, dialect).run()
-    # local import: vectorize imports this module for the shared tables
-    from .vectorize import vector_compile_unit
-    vector_compile_unit(unit, dialect, cs)
-    return cs
+    return _UnitCodegen(unit, dialect).run()
+
+
+#: most recently used kernel modules :func:`compile_module` keeps
+_MEMO_SIZE = 128
+_MEMO: OrderedDict[Tuple[str, str], CompiledSource] = OrderedDict()
+_MEMO_LOCK = threading.Lock()
+
+
+def compile_module(unit: A.TranslationUnit,
+                   dialect: str) -> Tuple[CompiledSource, bool]:
+    """:func:`compile_unit` behind the process-wide kernel-module memo.
+
+    Keyed by dialect and printed module, it keeps the 128 most recently
+    used artifacts together with the code objects :func:`bind_unit`
+    compiles into them, so a hit skips codegen and ``compile()`` alike.
+    Returns the artifact and whether the memo held it.
+    """
+    key = (dialect, print_unit(unit, dialect))
+    with _MEMO_LOCK:
+        cs = _MEMO.get(key)
+        if cs is not None:
+            _MEMO.move_to_end(key)
+            return cs, True
+    cs = compile_unit(unit, dialect)
+    with _MEMO_LOCK:
+        _MEMO[key] = cs
+        if len(_MEMO) > _MEMO_SIZE:
+            _MEMO.popitem(last=False)
+    return cs, False
 
 
 def compile_host_unit(unit: A.TranslationUnit,
@@ -2187,10 +2243,7 @@ def bind_host(interp: Any, cs: CompiledSource) -> Dict[str, Any]:
         raise CompileUnsupported(
             f"file-scope name {odd[0]!r} bound other than codegen assumed")
     return bind_unit(interp.unit, cs, interp.global_slots,
-                     interp.global_values)
-
-
-_CODE_MEMO: Dict[str, Any] = {}
+                     interp.global_values)[0]
 
 
 def _collect_structs(unit: A.TranslationUnit) -> Dict[str, T.StructType]:
@@ -2218,28 +2271,47 @@ def _collect_structs(unit: A.TranslationUnit) -> Dict[str, T.StructType]:
 
 
 def bind_unit(unit: A.TranslationUnit, cs: CompiledSource,
-              symbols: Dict[str, Ptr],
-              globals_values: Dict[str, Any]) -> Dict[str, Any]:
-    """``exec`` the generated source against a module's device state and
-    return ``{kernel_name: generator_function}`` for the covered kernels."""
-    if cs.codegen_version != CODEGEN_VERSION:
-        raise CompileUnsupported(
-            f"compiled artifact version {cs.codegen_version} != "
-            f"{CODEGEN_VERSION}")
-    code = _CODE_MEMO.get(cs.source)
-    if code is None:
-        if len(_CODE_MEMO) > 128:
-            _CODE_MEMO.clear()
-        code = compile(cs.source, "<repro-kernel-codegen>", "exec")
-        _CODE_MEMO[cs.source] = code
+              symbols: Dict[str, Ptr], globals_values: Dict[str, Any]
+              ) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, str]]:
+    """``exec`` both sections of ``cs`` into one namespace bound to a
+    module's device state.
+
+    Returns ``(entries, vector_entries, vector_fallbacks)``: ``{kernel:
+    generator function}`` per section and the vector tier's demotion
+    reasons.  The scalar section runs first, and an error in it
+    propagates: the caller demotes the whole module.  An error in the
+    warp section demotes only the vector tier, recorded for each of its
+    kernels in ``vector_fallbacks``.
+    """
+    # local import: vectorize imports this module for the shared tables
+    from .vectorize import WARP_HELPERS
     ns = _base_namespace()
+    ns.update(WARP_HELPERS)
     # the struct table walks the whole unit; most sources never read it
-    ns["__STRUCTS"] = (_collect_structs(unit) if "__STRUCTS[" in cs.source
-                       else {})
+    ns["__STRUCTS"] = (_collect_structs(unit)
+                       if "__STRUCTS[" in cs.source
+                       or "__STRUCTS[" in cs.vector_source else {})
     ns["__GV"] = globals_values
     for name, ptr in symbols.items():
         ns[f"G_{name}"] = ptr
         if isinstance(ptr.ctype, T.ArrayType):
             ns[f"Gd_{name}"] = Ptr(ptr.mem, ptr.off, ptr.ctype.elem)
-    exec(code, ns)
-    return {k: ns[f"_F_{k}"] for k in cs.kernel_names}
+    if cs.code is None:
+        cs.code = compile(cs.source, "<repro-codegen>", "exec")
+    exec(cs.code, ns)
+    entries = {k: ns[f"_F_{k}"] for k in cs.kernel_names}
+    vector_fallbacks = dict(cs.vector_fallbacks)
+    if not cs.vector_kernel_names:
+        return entries, {}, vector_fallbacks
+    try:
+        if cs.vector_code is None:
+            cs.vector_code = compile(cs.vector_source,
+                                     "<repro-warp-codegen>", "exec")
+        exec(cs.vector_code, ns)
+    except Exception as e:
+        reason = f"warp section failed: {type(e).__name__}: {e}"
+        vector_fallbacks.update(dict.fromkeys(cs.vector_kernel_names,
+                                              reason))
+        return entries, {}, vector_fallbacks
+    return (entries, {k: ns[f"_W_{k}"] for k in cs.vector_kernel_names},
+            vector_fallbacks)

@@ -2,10 +2,11 @@
 
 The scalar compile tier (:mod:`repro.clike.compile`) runs one generated
 generator per work-item; this module lowers *eligible* kernels a second
-time into one generator per **warp**, where every statement executes all
-active lanes at once over numpy arrays — vectorized loads/stores via
-gather/scatter, arithmetic over ``int64``/``float64`` lanes, and masked
-active-sets for uniformly-nested divergent branches.
+time, into the same artifact's warp section: one generator per **warp**
+(``_W_<kernel>``), where every statement executes all active lanes at
+once over numpy arrays — vectorized loads/stores via gather/scatter,
+arithmetic over ``int64``/``float64`` lanes, and masked active-sets for
+uniformly-nested divergent branches.
 
 The contract is unchanged from the scalar tier: byte identity with the
 interpreter for output buffers, performance counters, and therefore the
@@ -48,17 +49,16 @@ import numpy as np
 
 from ..errors import InterpError
 from ..runtime.memory import Memory
-from ..runtime.values import Ptr, coerce
+from ..runtime.values import Ptr
 from . import ast as A
 from . import types as T
-from .compile import (CODEGEN_VERSION, CompileUnsupported, CompiledSource,
-                      _CMP_OPS, _CUDA_SPECIALS, _MAX_LOOP_ITERS, _ONE,
-                      _OPENCL_IDS, _XYZ, _UnitCodegen, _budget, _cast,
-                      _dynid, _f16, _f32, _kind_of, _scan_signals)
+from .compile import (CompileUnsupported, _CMP_OPS, _CUDA_SPECIALS,
+                      _MAX_LOOP_ITERS, _OPENCL_IDS, _XYZ, _UnitCodegen, _f16,
+                      _f32, _kind_of, _scan_signals)
 from .interp import _apply_binop, _c_div, _c_mod, _truth
 from .sema import resolve_conversion
 
-__all__ = ["WarpEnv", "vector_compile_unit", "bind_vector_unit"]
+__all__ = ["WarpEnv", "WARP_HELPERS"]
 
 _I8 = np.dtype(np.int64)
 _F8 = np.dtype(np.float64)
@@ -619,27 +619,19 @@ def _vdiverge(env: WarpEnv) -> "Exception":
     return divergence_error(env.launch.kernel.name, env.launch.kernel.fn)
 
 
-def _vec_namespace() -> Dict[str, Any]:
-    """The exec namespace for bound vector modules."""
-    ns: Dict[str, Any] = {
-        "_np": np, "_i8": _I8, "_f8": _F8,
-        "_vtr": _vtr, "_vmask": _vmask, "_vsc": _vsc, "_vnz": _vnz,
-        "_vand": _vand,
-        "_vor": _vor, "_vcond": _vcond, "_vix": _vix, "_vfl": _vfl,
-        "_vf32": _vf32, "_vf16": _vf16, "_vw64": _vw64, "_vshl": _vshl,
-        "_vdvf": _vdvf, "_vdvi": _vdvi, "_vmdf": _vmdf, "_vmdi": _vmdi,
-        "_vab": _vab, "_own": _own, "_vldix": _vldix, "_vstix": _vstix,
-        "_vstixc": _vstixc, "_vldu": _vldu, "_vdiverge": _vdiverge,
-        "_co": coerce, "_f32": _f32, "_f16": _f16, "_cast": _cast,
-        "_dv": _c_div, "_md": _c_mod, "_tr": _truth, "_dynid": _dynid,
-        "_budget": _budget, "_ONE": _ONE, "_Ptr": Ptr,
-        "InterpError": InterpError, "_B": "barrier",
-    }
-    for name, st in T.SCALAR_TYPES.items():
-        ns[f"_T_{name}"] = st
-    for name, dt in _DTYPES.items():
-        ns[f"_D_{name}"] = dt
-    return ns
+#: the warp section's helpers, added to the scalar section's namespace
+#: (:func:`repro.clike.compile.bind_unit`), which holds everything else
+#: it calls
+WARP_HELPERS: Dict[str, Any] = {
+    "_np": np, "_i8": _I8, "_f8": _F8,
+    "_vtr": _vtr, "_vmask": _vmask, "_vsc": _vsc, "_vnz": _vnz,
+    "_vand": _vand, "_vor": _vor, "_vcond": _vcond, "_vix": _vix, "_vfl": _vfl,
+    "_vf32": _vf32, "_vf16": _vf16, "_vw64": _vw64, "_vshl": _vshl,
+    "_vdvf": _vdvf, "_vdvi": _vdvi, "_vmdf": _vmdf, "_vmdi": _vmdi,
+    "_vab": _vab, "_own": _own, "_vldix": _vldix, "_vstix": _vstix,
+    "_vstixc": _vstixc, "_vldu": _vldu, "_vdiverge": _vdiverge,
+    **{f"_D_{name}": dt for name, dt in _DTYPES.items()},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1809,7 +1801,7 @@ class _VecFnCodegen:
         self.lines = []
         self.ind = 0
         argv = ", ".join(["env"] + [f"a{i}" for i in range(len(fn.params))])
-        self.w(f"def _F_{fn.name}({argv}):")
+        self.w(f"def _W_{fn.name}({argv}):")
         self.ind = 1
         self.w("if False:")
         self.ind += 1
@@ -1830,78 +1822,3 @@ class _VecFnCodegen:
         for ind, text in body:
             out.append("    " * ind + text)
         return "\n".join(out)
-
-
-# ---------------------------------------------------------------------------
-# public API
-# ---------------------------------------------------------------------------
-
-def vector_compile_unit(unit: A.TranslationUnit, dialect: str,
-                        cs: CompiledSource) -> CompiledSource:
-    """Offer every scalar-compiled kernel to the warp-batched codegen.
-
-    Populates ``cs.vector_source`` / ``cs.vector_kernel_names`` /
-    ``cs.vector_fallbacks`` in place.  The ladder invariant is that a
-    vector-eligible kernel is always scalar-eligible too: kernels the
-    scalar pass demoted are recorded here as scalar fallbacks so the
-    vector tier demotes through the same chain.  Never raises for
-    per-kernel issues.
-    """
-    kernels = [f for f in unit.functions()
-               if f.is_kernel and f.body is not None]
-    if not kernels:
-        return cs
-    u = _UnitCodegen(unit, dialect)
-    chunks: List[str] = []
-    names: List[str] = []
-    fallbacks: Dict[str, str] = {}
-    eligible = set(cs.kernel_names)
-    for fn in kernels:
-        if fn.name not in eligible:
-            why = cs.fallbacks.get(fn.name, "not scalar-compiled")
-            fallbacks[fn.name] = f"scalar fallback: {why}"
-            continue
-        try:
-            chunks.append(_VecFnCodegen(u, fn).emit())
-            names.append(fn.name)
-        except CompileUnsupported as exc:
-            fallbacks[fn.name] = str(exc)
-        except Exception as exc:  # safety net: demote, never crash
-            fallbacks[fn.name] = f"{type(exc).__name__}: {exc}"
-    parts = [f"# generated by repro.clike.vectorize v{CODEGEN_VERSION} "
-             f"(dialect={dialect})"]
-    parts.extend(u._ty_lines)
-    parts.extend(chunks)
-    cs.vector_source = "\n".join(parts) + "\n"
-    cs.vector_kernel_names = names
-    cs.vector_fallbacks = fallbacks
-    return cs
-
-
-_VCODE_MEMO: Dict[str, Any] = {}
-
-
-def bind_vector_unit(unit: A.TranslationUnit, cs: CompiledSource,
-                     symbols: Dict[str, Any],
-                     globals_values: Dict[str, Any]) -> Dict[str, Any]:
-    """``exec`` the warp-batched source against a module's device state;
-    returns ``{kernel_name: per-warp generator function}``."""
-    if cs.codegen_version != CODEGEN_VERSION:
-        raise CompileUnsupported(
-            f"compiled artifact version {cs.codegen_version} != "
-            f"{CODEGEN_VERSION}")
-    if not cs.vector_kernel_names:
-        return {}
-    code = _VCODE_MEMO.get(cs.vector_source)
-    if code is None:
-        if len(_VCODE_MEMO) > 128:
-            _VCODE_MEMO.clear()
-        code = compile(cs.vector_source, "<repro-vector-codegen>", "exec")
-        _VCODE_MEMO[cs.vector_source] = code
-    ns = _vec_namespace()
-    for name, ptr in symbols.items():
-        ns[f"G_{name}"] = ptr
-        if isinstance(ptr.ctype, T.ArrayType):
-            ns[f"Gd_{name}"] = type(ptr)(ptr.mem, ptr.off, ptr.ctype.elem)
-    exec(code, ns)
-    return {k: ns[f"_F_{k}"] for k in cs.vector_kernel_names}

@@ -169,9 +169,6 @@ class DeviceModule:
         self.exec_tier: str = "interp"
         #: kernel name -> generated-code generator function (compile tier)
         self.compiled_entries: Dict[str, Any] = {}
-        #: generated Python source (debugging/introspection; None until
-        #: codegen has run)
-        self.compiled_source: Optional[str] = None
         #: kernel name -> reason it fell back to the interpreter
         self.compile_fallbacks: Dict[str, str] = {}
         #: kernel name -> warp-batched generator function (vector tier)
@@ -250,45 +247,30 @@ def load_module(device: Device, unit: A.TranslationUnit,
 
 
 def _compile_module(mod: DeviceModule) -> None:
-    """Lower the module's kernels to generated Python (compile tier).
+    """Bind the module's generated code (compile and vector tiers).
 
-    Codegen output is content-addressed by the printed kernel source, so
-    warm runs skip codegen entirely; kernels using constructs codegen does
-    not cover are recorded in ``compile_fallbacks`` and keep running
-    through the interpreter.  Never raises: a codegen failure demotes the
-    whole module to the interpreter.
+    The artifact comes from :func:`repro.clike.compile.compile_module`,
+    whose in-process memo is keyed by the printed module, so warm loads
+    skip codegen; kernels using constructs codegen does not cover are
+    recorded in ``compile_fallbacks`` and keep running through the
+    interpreter.  Never raises: an error in the scalar section demotes
+    the whole module to the interpreter, one in the warp section only
+    the vector tier.
     """
-    from ..clike.compile import CODEGEN_VERSION, bind_unit, compile_unit
-    from ..clike.printer import print_unit
-    from ..clike.vectorize import bind_vector_unit
-    from ..pipeline.cache import cache_key, kernel_code_cache
+    from ..clike.compile import bind_unit, compile_module
     metrics = get_metrics()
     with get_tracer().span(f"compile:{mod.dialect}",
                            kernels=len(mod.kernels)) as span:
         try:
-            src = print_unit(mod.unit, mod.dialect)
-            key = cache_key(src, mod.dialect,
-                            {"codegen": str(CODEGEN_VERSION)},
-                            "kernel-codegen")
-            cache = kernel_code_cache()
-            cs = cache.get(key)
-            if cs is not None and cs.codegen_version == CODEGEN_VERSION:
-                metrics.counter("engine.compile.cache_hit").inc()
-                span.set(outcome="cache_hit")
-            else:
-                cs = compile_unit(mod.unit, mod.dialect)
-                metrics.counter("engine.compile.cache_miss").inc()
-                span.set(outcome="cache_miss")
-                cache.put(key, cs, meta={"dialect": mod.dialect,
-                                         "kind": "kernel-codegen"})
-            mod.compiled_source = cs.source
+            cs, hit = compile_module(mod.unit, mod.dialect)
+            outcome = "cache_hit" if hit else "cache_miss"
+            metrics.counter(f"engine.compile.{outcome}").inc()
+            span.set(outcome=outcome)
             mod.compile_fallbacks = dict(cs.fallbacks)
-            mod.compiled_entries = bind_unit(mod.unit, cs, mod.symbols,
-                                             mod.globals_values)
-            mod.vector_fallbacks = dict(cs.vector_fallbacks)
-            mod.vector_entries = bind_vector_unit(mod.unit, cs, mod.symbols,
-                                                  mod.globals_values)
-        except Exception as e:  # pragma: no cover - defensive demotion
+            (mod.compiled_entries, mod.vector_entries,
+             mod.vector_fallbacks) = bind_unit(mod.unit, cs, mod.symbols,
+                                               mod.globals_values)
+        except Exception as e:
             mod.compile_fallbacks = {k: f"module codegen failed: {e}"
                                      for k in mod.kernels}
             mod.compiled_entries = {}

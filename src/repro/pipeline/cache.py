@@ -53,8 +53,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from ..observability import get_metrics, get_tracer
 
 __all__ = ["cache_key", "result_sources", "CacheStats", "DiskTier",
-           "TranslationCache", "kernel_code_cache", "DISK_LIMIT_ENV",
-           "parse_bytes"]
+           "TranslationCache", "DISK_LIMIT_ENV", "parse_bytes"]
 
 #: on-disk artifact format version; bump to invalidate old artifacts
 ARTIFACT_VERSION = 1
@@ -489,35 +488,3 @@ class TranslationCache:
         fault-injection layer to target artifacts.
         """
         return self._disk.path(key) if self._disk is not None else None
-
-
-# ---------------------------------------------------------------------------
-# kernel-codegen cache (device-engine compile tier)
-# ---------------------------------------------------------------------------
-
-#: process-wide cache for generated kernel code, created on first use
-_KERNEL_CODE_CACHE: Optional[TranslationCache] = None
-
-
-def kernel_code_cache() -> TranslationCache:
-    """The content-addressed cache for compile-tier kernel codegen.
-
-    Same two-tier :class:`TranslationCache` machinery as translation
-    results — entries are :class:`~repro.clike.compile.CompiledSource`
-    objects keyed by ``sha256`` of the printed kernel source plus the
-    codegen version.  The disk tier is enabled when
-    ``$REPRO_KERNEL_CACHE_DIR`` is set, so warm corpus runs skip codegen
-    entirely (`engine.compile.cache_hit`).
-    """
-    global _KERNEL_CODE_CACHE
-    if _KERNEL_CODE_CACHE is None:
-        cache_dir = os.environ.get("REPRO_KERNEL_CACHE_DIR") or None
-        _KERNEL_CODE_CACHE = TranslationCache(capacity=128,
-                                              cache_dir=cache_dir)
-    return _KERNEL_CODE_CACHE
-
-
-def reset_kernel_code_cache() -> None:
-    """Drop the process-wide kernel-codegen cache (tests)."""
-    global _KERNEL_CODE_CACHE
-    _KERNEL_CODE_CACHE = None

@@ -20,7 +20,8 @@ def pytest_addoption(parser):
         "--regen-golden", action="store_true", default=False,
         help="regenerate the checked-in golden snapshots (translation "
              "goldens under tests/translate/golden/, debugger transcripts "
-             "under tests/debug/golden/) instead of comparing against them")
+             "under tests/debug/golden/, the vector-tier table under "
+             "tests/device/golden/) instead of comparing against them")
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +101,23 @@ def corpus_translated_cases():
 #: recorded in ``RunResult.extra["host_fallback"]``
 EXPECTED_HOST_FALLBACKS = {}
 
+#: corpus runs (``suite/app:mode``) whose kernel modules fail codegen as a
+#: whole under a generated tier, as ``{kernel: reason}``: those kernels
+#: drop to the interpreter with ``module codegen failed: ...`` recorded
+EXPECTED_MODULE_FAILURES = {}
+
 _RUN_MODE = {"ocl": "ocl-native", "cuda": "cuda-native",
              "ocl2cuda": "ocl2cuda", "cuda2ocl": "cuda2ocl"}
 
 
+def run_key(app, mode):
+    """``suite/app:mode`` of one corpus run, in perfbench's mode names."""
+    return f"{app.suite}/{app.name}:{_RUN_MODE[mode]}"
+
+
 def expected_host_fallback(app, mode):
     """The pinned fallback reason of one corpus run, or None."""
-    return EXPECTED_HOST_FALLBACKS.get(
-        f"{app.suite}/{app.name}:{_RUN_MODE[mode]}")
+    return EXPECTED_HOST_FALLBACKS.get(run_key(app, mode))
 
 
 def run_app(app, mode, tier=None, device="titan"):

@@ -10,14 +10,29 @@ IPMACC/cf4ocl-style generated-code equivalence checking (PAPERS.md).
 Modeled time must match bit-for-bit (``==`` on floats, not approx): the
 compiled tier changes how Python executes the kernel, never what the
 simulated device is charged for.
+
+The same runs pin the tier ladder: no corpus module may fail codegen as a
+whole (``EXPECTED_MODULE_FAILURES``), and the tier each kernel launches
+on under ``vector``, with the reason it left the tier above, must match
+``golden/vector_tiers.json``.  Regenerate that table intentionally with::
+
+    pytest tests/device/test_compile_differential.py --regen-golden
 """
+
+import json
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+from repro.device import engine
 from repro.observability import Tracer, activate
-from tests.conftest import (corpus_exec_cases, corpus_translated_cases,
-                            expected_host_fallback, find_app,
-                            run_app as _run)
+from tests.conftest import (EXPECTED_MODULE_FAILURES, corpus_exec_cases,
+                            corpus_translated_cases, expected_host_fallback,
+                            find_app, run_app as _run, run_key)
+
+#: ``suite/app:mode`` -> ``{kernel: tier under vector}``
+_TIERS_PATH = Path(__file__).parent / "golden" / "vector_tiers.json"
 
 
 def _assert_identical(interp, compiled):
@@ -33,35 +48,92 @@ def _assert_identical(interp, compiled):
     assert compiled.kernel_launches == interp.kernel_launches
 
 
+@contextmanager
+def _loaded_modules():
+    """Every module the block binds generated code for."""
+    mods = []
+    bind = engine._compile_module
+
+    def capture(mod):
+        bind(mod)
+        mods.append(mod)
+
+    engine._compile_module = capture
+    try:
+        yield mods
+    finally:
+        engine._compile_module = bind
+
+
+def _module_failures(mods):
+    return {k: why for m in mods for k, why in m.compile_fallbacks.items()
+            if why.startswith("module codegen failed")}
+
+
+def _tier(mod, kernel):
+    if kernel in mod.vector_entries:
+        return "vector"
+    if kernel in mod.compiled_entries:
+        return f"compiled: {mod.vector_fallbacks[kernel]}"
+    return f"interp: {mod.compile_fallbacks[kernel]}"
+
+
+def _check_modules(request, app, mode, mods):
+    """Pin the modules a ``vector`` run loaded: whole-module codegen
+    failures on both generated tiers (the same units bound again under
+    ``compiled``), and each kernel's tier against the committed table."""
+    key = run_key(app, mode)
+    want = EXPECTED_MODULE_FAILURES.get(key, {})
+    assert _module_failures(mods) == want
+    again = [engine.load_module(m.device, m.unit, m.dialect,
+                                exec_tier="compiled") for m in mods]
+    assert _module_failures(again) == want
+    tiers = {k: _tier(m, k) for m in mods for k in m.kernels}
+    table = (json.loads(_TIERS_PATH.read_text())
+             if _TIERS_PATH.exists() else {})
+    if request.config.getoption("--regen-golden"):
+        table[key] = tiers
+        _TIERS_PATH.write_text(json.dumps(table, indent=1, sort_keys=True)
+                               + "\n")
+    else:
+        assert tiers == table.get(key), (
+            f"{key}: kernel tiers changed; if intentional, rerun with "
+            "--regen-golden")
+
+
 # ---------------------------------------------------------------------------
 # the differential sweep
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("app,mode", corpus_exec_cases())
-def test_corpus_app_byte_identical(app, mode, shared_run):
+def test_corpus_app_byte_identical(app, mode, shared_run, request):
     """One interpreter reference run per app, compared against both
     generated-code tiers (scalar ``compiled`` and warp-batched
     ``vector``)."""
     interp, _ = shared_run(app, mode, "interp")
     compiled = _run(app, mode, "compiled")
     _assert_identical(interp, compiled)
-    vector = _run(app, mode, "vector")
+    with _loaded_modules() as mods:
+        vector = _run(app, mode, "vector")
     _assert_identical(interp, vector)
     assert vector.extra.get("host_fallback") == expected_host_fallback(
         app, mode)
+    _check_modules(request, app, mode, mods)
 
 
 @pytest.mark.parametrize("app,mode", corpus_translated_cases())
-def test_translated_app_byte_identical(app, mode, shared_run):
+def test_translated_app_byte_identical(app, mode, shared_run, request):
     """The wrapper-backed ``ocl2cuda`` runs and the rewritten ``cuda2ocl``
     host programs: lowered host code and generated kernels against the
     interpreter."""
     interp, _ = shared_run(app, mode, "interp")
-    vector = _run(app, mode, "vector")
+    with _loaded_modules() as mods:
+        vector = _run(app, mode, "vector")
     _assert_identical(interp, vector)
     assert vector.extra.get("host_fallback") == expected_host_fallback(
         app, mode)
+    _check_modules(request, app, mode, mods)
 
 
 # ---------------------------------------------------------------------------

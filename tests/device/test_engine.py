@@ -14,6 +14,7 @@ from repro.device import (Device, GTX_TITAN, HD7970, LocalArg, launch_kernel,
                           load_module)
 from repro.device.engine import exec_tier_override, resolve_exec_tier
 from repro.errors import DeviceError
+from repro.observability import Tracer, activate, get_metrics
 from repro.runtime.values import Ptr
 
 REPO = Path(__file__).resolve().parents[2]
@@ -387,3 +388,132 @@ class TestExecTiers:
              "vector", "--collect-only", "-q", "-p", "no:cacheprovider"],
             cwd=REPO, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+_SAXPY = """
+__kernel void saxpy(__global float* y, __global const float* x, float a) {
+  int i = get_global_id(0);
+  y[i] = a * x[i] + y[i];
+}"""
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty kernel-module memo for one test; the process-wide one
+    comes back afterwards, untouched by what the test loaded."""
+    from collections import OrderedDict
+
+    from repro.clike import compile as cc
+    monkeypatch.setattr(cc, "_MEMO", OrderedDict())
+
+
+#: appended to one section's generated code: raises when it is bound
+_BOOM = "\nraise RuntimeError('{} section boom')"
+
+
+def _saxpy_on(dev, tier):
+    unit = parse(_SAXPY, "opencl")
+    mod = load_module(dev, unit, "opencl", exec_tier=tier)
+    x = upload(dev, np.arange(64, dtype=np.float32))
+    y = upload(dev, np.ones(64, dtype=np.float32))
+    launch_kernel(dev, mod.get_kernel("saxpy"), [1], [64],
+                  [y.retype(T.FLOAT), x.retype(T.FLOAT), 2.0])
+    return mod, download(dev, y, T.FLOAT, 64)
+
+
+class TestModuleCodegen:
+    def test_warp_section_error_demotes_only_the_vector_tier(
+            self, dev, fresh_memo, monkeypatch):
+        from repro.clike.vectorize import _VecFnCodegen
+        emit = _VecFnCodegen.emit
+        monkeypatch.setattr(_VecFnCodegen, "emit",
+                            lambda self: emit(self) + _BOOM.format("warp"))
+        mod, y = _saxpy_on(dev, "vector")
+        assert set(mod.compiled_entries) == {"saxpy"}
+        assert mod.vector_entries == {}
+        assert "warp section boom" in mod.vector_fallbacks["saxpy"]
+        assert mod.compile_fallbacks == {}
+        assert np.array_equal(y, 2.0 * np.arange(64) + 1.0)
+
+    def test_scalar_section_error_demotes_the_whole_module(
+            self, dev, fresh_memo, monkeypatch):
+        from repro.clike.compile import _FnCodegen
+        emit = _FnCodegen.emit
+
+        def poisoned(self):
+            code, callees = emit(self)
+            return code + _BOOM.format("scalar"), callees
+
+        monkeypatch.setattr(_FnCodegen, "emit", poisoned)
+        mod, y = _saxpy_on(dev, "vector")
+        assert mod.compiled_entries == {} and mod.vector_entries == {}
+        assert mod.compile_fallbacks == {
+            "saxpy": "module codegen failed: scalar section boom"}
+        assert np.array_equal(y, 2.0 * np.arange(64) + 1.0)
+
+    def test_memo_keeps_the_most_recent_modules_under_threads(
+            self, fresh_memo):
+        """Threads loading more distinct modules than the memo holds each
+        get their own module's artifact, and the memo stops at its
+        bound."""
+        import sys
+        import threading
+
+        from repro.clike import compile as cc
+        from repro.clike.sema import annotate_unit
+        n = cc._MEMO_SIZE + 32
+        got = {}
+
+        def load(ids):
+            for i in ids:
+                unit = parse(f"__kernel void k{i}(__global int* x) "
+                             f"{{ x[0] = {i}; }}", "opencl")
+                annotate_unit(unit, "opencl")
+                got[i] = cc.compile_module(unit, "opencl")[0].kernel_names
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=load, args=(range(t, n, 4),))
+                       for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {i: [f"k{i}"] for i in range(n)}
+        assert len(cc._MEMO) == cc._MEMO_SIZE
+
+    def test_kernel_loads_stay_out_of_the_translation_cache(
+            self, fresh_memo):
+        """Generated kernel code is reused through the codegen memo
+        alone: it counts its own hits and misses, and no ``cache.*``
+        counter moves and no ``cache:`` span opens on a kernel load."""
+        from repro.harness import run_opencl_app
+        from tests.conftest import find_app
+        app = find_app("toolkit", "oclVectorAdd")
+        m = get_metrics()
+        hits = m.counter("engine.compile.cache_hit")
+        misses = m.counter("engine.compile.cache_miss")
+
+        def cache_counters():
+            return {k: v for k, v in m.snapshot().items()
+                    if k.startswith("cache.")}
+
+        before = cache_counters()
+        tracer = Tracer()
+        with activate(tracer):
+            h0, m0 = hits.value, misses.value
+            first = run_opencl_app(app.name, app.opencl_host,
+                                   app.opencl_kernels, exec_tier="compiled")
+            assert (hits.value - h0, misses.value - m0) == (0, 1)
+            h0, m0 = hits.value, misses.value
+            second = run_opencl_app(app.name, app.opencl_host,
+                                    app.opencl_kernels, exec_tier="compiled")
+            assert (hits.value - h0, misses.value - m0) == (1, 0)
+        assert first.ok and second.stdout == first.stdout
+        assert cache_counters() == before
+        assert not [s.name for s in tracer.finished
+                    if s.name.startswith("cache:")]
