@@ -10,14 +10,14 @@ Two rules, checked against ``benchmarks/COVERAGE_baseline.json``:
    tests, and an uncovered branch there is exactly where a tracing bug
    would hide;
 3. modules listed under ``module_floors`` (currently
-   ``repro.clike.compile`` — the codegen behind the compiled execution
-   tier, whose uncovered branches are exactly where interp/compiled
-   divergence would hide — ``repro.device.sched``, the warp-scheduler
-   execution core every tier drives through, and
-   ``repro.debug.session``, the debugger drive loop whose uncovered
-   branches are exactly where a stop would perturb the run) must each
-   stay within ``tolerance`` points of their recorded per-module
-   coverage.
+   ``repro.clike.compile`` and ``repro.clike.vectorize`` — the two code
+   generators behind the generated execution tiers, whose uncovered
+   branches are exactly where a tier divergence would hide —
+   ``repro.device.sched``, the warp-scheduler execution core every
+   tier drives through, and ``repro.debug.session``, the debugger
+   drive loop whose uncovered branches are exactly where a stop would
+   perturb the run) must each stay within ``tolerance`` points of
+   their recorded per-module coverage.
 
 Backends, in order of preference:
 
@@ -61,6 +61,7 @@ TOLERANCE = 2.0
 #: modules with an individual coverage floor (rule 3), as repo-relative
 #: paths; enforced under the coverage.py backend only
 MODULE_FLOOR_FILES = ("src/repro/clike/compile.py",
+                      "src/repro/clike/vectorize.py",
                       "src/repro/device/sched.py",
                       "src/repro/debug/session.py")
 

@@ -61,7 +61,7 @@ from .interp import (WARP_OP_KINDS, WarpOp, _apply_binop, _c_div, _c_mod,
                      _truth)
 from .printer import print_unit
 from .sema import resolve_conversion
-from .stdlib import swizzle_indices
+from .stdlib import CUDA_SPECIAL_VARS, NAMED_CONSTANTS, swizzle_indices
 
 #: hot-path alias: ``type(ct) is _Scalar`` in the per-access helpers
 _Scalar = T.ScalarType
@@ -561,16 +561,7 @@ def _kind_of(t: Optional[T.Type]) -> str:
 
 #: names whose pre-declaration reads resolve through the environment —
 #: declaring a local with one of these would shadow flow-sensitively
-_ENV_NAMES = frozenset({
-    "threadIdx", "blockIdx", "blockDim", "gridDim", "warpSize",
-    "CLK_LOCAL_MEM_FENCE", "CLK_GLOBAL_MEM_FENCE",
-    "CLK_NORMALIZED_COORDS_FALSE", "CLK_NORMALIZED_COORDS_TRUE",
-    "CLK_ADDRESS_NONE", "CLK_ADDRESS_CLAMP_TO_EDGE", "CLK_ADDRESS_CLAMP",
-    "CLK_ADDRESS_REPEAT", "CLK_FILTER_NEAREST", "CLK_FILTER_LINEAR",
-    "CUDART_INF_F", "INFINITY", "HUGE_VALF", "NAN", "M_PI", "M_PI_F",
-    "CUDART_PI_F", "FLT_MAX", "MAXFLOAT", "FLT_MIN", "FLT_EPSILON",
-    "INT_MAX", "NULL",
-})
+_ENV_NAMES = frozenset(CUDA_SPECIAL_VARS) | frozenset(NAMED_CONSTANTS)
 
 _CUDA_SPECIALS = {"threadIdx": "env.lid", "blockIdx": "env.group",
                   "blockDim": "env.launch.block", "gridDim": "env.launch.grid"}
@@ -805,17 +796,31 @@ class _UnitCodegen:
 # per-function codegen
 # ---------------------------------------------------------------------------
 
-class _FnCodegen:
+class _CoreCodegen:
+    """What both per-function emitters do alike.
+
+    :class:`_FnCodegen` lowers a function to one generator per work-item
+    (in host mode, to a plain function); the warp emitter,
+    :class:`repro.clike.vectorize._VecFnCodegen`, lowers a kernel to one
+    generator per warp.  This core owns the line buffer, temps and access
+    sites, static op-count flushes, the name-class prepass, loop
+    scaffolding, ``__local`` declarations, the function header, and the
+    text of operations on uniform int/float values.  Where varying lanes
+    differ, the warp emitter overrides a hook: ``count_scale`` (counts
+    flush once per active lane), ``uniform`` (control flow demotes on a
+    varying value), ``intwrap`` (int64 lanes) and ``_step`` (a ``for``
+    step runs as a statement).
+    """
+
     def __init__(self, u: _UnitCodegen, fn: A.FunctionDecl) -> None:
         self.u = u
         self.fn = fn
+        self.host = u.host
         self.lines: List[Tuple[int, str]] = []
         self.ind = 0
         self.ntmp = 0
-        self.callees: Set[str] = set()
         self.uses_counts = False
         self.uses_steps = False
-        self.has_alloc = False
         # name -> ('reg', t) | ('preg', t) | ('pregw', t) | ('mem', t)
         self.names: Dict[str, Tuple[str, T.Type]] = {}
         self.arrays: Set[str] = set()  # mem names with ArrayType (have Md_)
@@ -824,8 +829,12 @@ class _FnCodegen:
         #: type then lives in ``T_<name>``, set by each executed declaration
         #: (the interpreter's flat per-frame ``__types__``)
         self.retyped: Dict[str, str] = {}
-        self.ctx: List[Tuple[str, Optional[str]]] = []  # break/continue
-        self.host = u.host
+        #: enclosing loops and switches: (kind, break flag, mask depth)
+        self.ctx: List[Tuple[str, Optional[str], int]] = []
+        #: divergent masks and loops around the statement being emitted
+        #: (the scalar emitter never masks)
+        self.mask_depth = 0
+        self.loop_depth = 0
 
     # -- infrastructure ------------------------------------------------------
 
@@ -849,27 +858,40 @@ class _FnCodegen:
     def tref(self, t: T.Type) -> str:
         return self.u.type_ref(t)
 
-    def flush(self, cnt: List[int]) -> None:
-        if self.host:
-            cnt[0] = cnt[1] = 0
-            return
-        if cnt[0]:
-            self.uses_counts = True
-            self.w(f"__C.flops += {cnt[0]}")
-        if cnt[1]:
-            self.uses_counts = True
-            self.w(f"__C.iops += {cnt[1]}")
-        cnt[0] = cnt[1] = 0
-
-    def cc_wrap(self, code: str, cnt: List[int]) -> str:
-        """Wrap a conditionally-evaluated subexpression's static counts."""
-        if (cnt[0] or cnt[1]) and not self.host:
-            self.uses_counts = True
-            return f"_cc(__C, {cnt[0]}, {cnt[1]}, {code})"
-        return code
-
     def truth(self, code: str, kind: str) -> str:
         return code if kind in "ifp" else f"_tr({code})"
+
+    def count_scale(self) -> str:
+        """Factor on a flushed static count: none, one work-item runs."""
+        return ""
+
+    def _count_lines(self, cnt: List[int]) -> List[Tuple[int, str]]:
+        """The lines flushing ``cnt``'s static op counts; resets ``cnt``.
+        Host mode counts nothing."""
+        out = []
+        if not self.host:
+            for what, n in (("flops", cnt[0]), ("iops", cnt[1])):
+                if n:
+                    self.uses_counts = True
+                    out.append((self.ind, f"__C.{what} += {n}"
+                                          f"{self.count_scale()}"))
+        cnt[0] = cnt[1] = 0
+        return out
+
+    def flush(self, cnt: List[int]) -> None:
+        self.lines.extend(self._count_lines(cnt))
+
+    def flush_at(self, cnt: List[int], mark: int) -> None:
+        """Insert the statement's static count flush *before* any lines an
+        as_stmt emitter already wrote (counts precede the statement)."""
+        self.lines[mark:mark] = self._count_lines(cnt)
+
+    def uniform(self, e: A.Node, cnt: List[int],
+                why: str) -> Tuple[str, str]:
+        """``(code, kind)`` of a value generated control flow or indexing
+        needs as one value; the warp emitter demotes with ``why`` when it
+        varies across lanes."""
+        return self.expr(e, cnt)
 
     # -- prepass -------------------------------------------------------------
 
@@ -940,6 +962,394 @@ class _FnCodegen:
             return bool(a == b)
         except Exception:
             return False
+
+    # -- uniform int/float operations ----------------------------------------
+
+    def intwrap(self, code: str, st: T.ScalarType) -> str:
+        bits = 8 * st.size
+        mask = (1 << bits) - 1
+        if st.signed:
+            half = 1 << (bits - 1)
+            return f"(({code} + {half} & {mask}) - {half})"
+        return f"({code} & {mask})"
+
+    def _op_shape(self, e: A.BinOp, ak: str, bk: str,
+                  cnt: List[int]) -> Tuple[bool, bool]:
+        """Count one inlined binary operator; returns (float operation?,
+        integer result width-wrapped?)."""
+        flop = "f" in (ak, bk)
+        cnt[0 if flop else 1] += 1
+        rt = e.ctype
+        return flop, (isinstance(rt, T.ScalarType) and not rt.floating
+                      and e.op in ("+", "-", "*", "<<"))
+
+    def arith(self, e: A.BinOp, a: str, ak: str, b: str, bk: str,
+              cnt: List[int]) -> Tuple[str, str]:
+        """``a op b`` on int/float operands, counted statically: the
+        interpreter's exact result as inline Python."""
+        op = e.op
+        flop, wrap = self._op_shape(e, ak, bk, cnt)
+        k = "f" if flop else "i"
+        if op in ("+", "-", "*"):
+            code = f"({a} {op} {b})"
+            if wrap and not flop:
+                return self.intwrap(code, e.ctype), "i"
+            return code, k
+        if op == "/":
+            return f"_dv({a}, {b})", k
+        if op == "%":
+            return f"_md({a}, {b})", k
+        if op in _CMP_OPS:
+            return f"(1 if {a} {op} {b} else 0)", "i"
+        if op in ("<<", ">>", "&", "|", "^"):
+            if flop:
+                a, b = f"int({a})", f"int({b})"
+            code = f"({a} {op} {b})"
+            if op == "<<" and wrap:
+                return self.intwrap(code, e.ctype), "i"
+            return code, "i"
+        raise self.unsup(f"operator {op!r}")
+
+    def _unary(self, op: str, code: str, k: str) -> Tuple[str, str]:
+        """``op code`` on an int/float value (``+`` and ``!`` on any)."""
+        if op == "-":
+            return f"(-{code})", k
+        if op == "+":
+            return code, k
+        if op == "!":
+            return f"(0 if {self.truth(code, k)} else 1)", "i"
+        if op == "~":
+            return f"(~int({code}))", "i"
+        raise self.unsup(f"unary operator {op!r}")
+
+    def _stepped(self, cur: str, t: T.ScalarType, k: str, sign: str) -> str:
+        """``cur`` plus or minus one, coerced to int/float type ``t``."""
+        if k == "i":
+            return self.intwrap(f"{cur} {sign} 1", t)
+        return self.co(f"({cur} {sign} 1)", t, "f")
+
+    def _reg_incdec(self, e: A.UnOp, v: str, new: Callable[[str], str],
+                    k: str, as_stmt: bool) -> Tuple[str, str]:
+        """``++``/``--`` on register ``v``; ``new(cur)`` is the stepped
+        value's text."""
+        if as_stmt:
+            self.w(f"{v} = {new(v)}")
+            return "", k
+        if not e.postfix:
+            return f"({v} := {new(v)})", k
+        tmp = self.tmp()
+        return (f"(({tmp} := {v}), ({v} := {new(tmp)}), {tmp})[2]", k)
+
+    def co(self, code: str, t: T.Type, k: str) -> str:
+        """Inline ``coerce(code, t)``; byte-identical to runtime coerce for
+        the statically-known kinds, generic ``_co`` otherwise."""
+        if isinstance(t, T.ScalarType) and t.name != "void" and k in "if":
+            if t.floating:
+                if t.size == 4:
+                    return f"_f32({code})"
+                if t.size == 2:
+                    return f"_f16({code})"
+                return f"float({code})"
+            if k == "f":
+                code = f"int({code})"
+            return self.intwrap(code, t)
+        if isinstance(t, (T.StructType, T.ArrayType, T.OpaqueType,
+                          T.ImageType, T.SamplerType, T.TextureType)):
+            return code  # coerce is the identity
+        return f"_co({code}, {self.tref(t)})"
+
+    def _apply_code(self, op: str, cur: str, rhs: str, tk: str,
+                    rk: str) -> Tuple[str, str]:
+        """Compound-assign apply step (uncounted, like Interp._assign)."""
+        if tk in "if" and rk in "if":
+            flop = "f" in (tk, rk)
+            if op in ("+", "-", "*"):
+                return f"({cur} {op} {rhs})", ("f" if flop else "i")
+            if op == "/":
+                return f"_dv({cur}, {rhs})", ("f" if flop else "i")
+            if op == "%":
+                return f"_md({cur}, {rhs})", ("f" if flop else "i")
+            if op in ("<<", ">>", "&", "|", "^"):
+                a = f"int({cur})" if flop else cur
+                b = f"int({rhs})" if rk == "f" else rhs
+                return f"({a} {op} {b})", "i"
+        return f"_ab({op!r}, {cur}, {rhs}, env)", "?"
+
+    def _static_size(self, e: A.SizeOf) -> Optional[str]:
+        """``sizeof`` known at codegen time, or None."""
+        if e.type is not None:
+            if e.type.size is None:
+                raise self.unsup("sizeof incomplete type")
+            return str(e.type.size)
+        ct = e.expr.ctype if isinstance(e.expr, A.Expr) else None
+        if ct is not None and ct.size:
+            return str(ct.size)
+        return None
+
+    def _dim_register(self, e: A.Member) -> Optional[str]:
+        """A work-item's read of a CUDA dim register (``threadIdx.x`` and
+        friends), or None for another member access."""
+        if (e.arrow or not isinstance(e.base, A.Ident) or self.host
+                or self.u.dialect_name != "cuda" or e.name not in _XYZ):
+            return None
+        name = e.base.name
+        if (name not in _CUDA_SPECIALS or name in self.names
+                or name in self.u.sym_names or name in self.u.gv_names):
+            return None
+        return f"{_CUDA_SPECIALS[name]}[{_XYZ[e.name]}]"
+
+    def _work_item_query(self, e: A.Call,
+                         cnt: List[int]) -> Optional[Tuple[str, str]]:
+        """An OpenCL work-item query (``get_global_id`` & co) as a
+        work-item reads it, or None for another call."""
+        name = e.callee_name
+        if self.u.dialect_name != "opencl":
+            return None
+        if name in _OPENCL_IDS and len(e.args) == 1:
+            d, dk = self.uniform(e.args[0], cnt,
+                                 "varying dimension argument")
+            if dk != "i":
+                d = f"int({d})"
+            return f"{_OPENCL_IDS[name]}[{d}]", "i"
+        if name == "get_global_size" and len(e.args) == 1:
+            d, dk = self.uniform(e.args[0], cnt,
+                                 "varying dimension argument")
+            if not isinstance(e.args[0], A.IntLit):
+                # the dim code is embedded twice below; only literals are
+                # safe to re-evaluate (no hooks, no walrus temps)
+                return f"env.global_size(int({d}))", "i"
+            if dk != "i":
+                d = f"int({d})"
+            return (f"(env.launch.grid[{d}] * env.launch.block[{d}])", "i")
+        if name == "get_work_dim" and not e.args:
+            return "env.launch.work_dim", "i"
+        if name == "get_global_offset" and len(e.args) == 1:
+            return f"({self.expr(e.args[0], cnt)[0]}, 0)[1]", "i"
+        return None
+
+    # -- statements ----------------------------------------------------------
+
+    def stmt(self, s: Optional[A.Node]) -> None:
+        if s is None:
+            return
+        kind = type(s)
+        if kind is A.Compound:
+            for st in s.stmts:
+                self.stmt(st)
+        elif kind is A.ExprStmt:
+            self.expr_stmt(s.expr)
+        elif kind is A.DeclStmt:
+            for d in s.decls:
+                self.decl(d)
+        elif kind is A.If:
+            self._if(s)
+        elif kind is A.For:
+            self._for(s)
+        elif kind is A.While:
+            self._while(s)
+        elif kind is A.Return:
+            self._return(s)
+        elif kind is A.Break:
+            self._break()
+        elif kind is A.Continue:
+            self._continue()
+        else:
+            self._other_stmt(s)
+
+    def _if(self, s: A.If) -> None:
+        cnt: List[int] = [0, 0]
+        c, ck = self.expr(s.cond, cnt)
+        self.flush(cnt)
+        self._uniform_if(s, c, ck)
+
+    def _uniform_if(self, s: A.If, c: str, ck: str) -> None:
+        self.w(f"if {self.truth(c, ck)}:")
+        self._block(lambda: self.stmt(s.then))
+        if s.orelse is not None:
+            self.w("else:")
+            self._block(lambda: self.stmt(s.orelse))
+
+    def _block(self, emit) -> None:
+        mark = len(self.lines)
+        self.ind += 1
+        emit()
+        if len(self.lines) == mark:
+            self.w("pass")
+        self.ind -= 1
+
+    def _plain_stmt(self, e: A.Node, cnt: List[int]) -> None:
+        """An expression statement without a statement-only call: an
+        assignment or ``++``/``--`` in statement form, else the expression
+        evaluated for its effects."""
+        if isinstance(e, A.Assign) or (isinstance(e, A.UnOp)
+                                       and e.op in ("++", "--")):
+            mark = len(self.lines)
+            if isinstance(e, A.Assign):
+                self.assign_stmt(e, cnt)
+            else:
+                self.incdec_stmt(e, cnt)
+            self.flush_at(cnt, mark)
+            return
+        code = self.expr(e, cnt)[0]
+        self.flush(cnt)
+        self.w(code)
+
+    def _break_if(self, test: str) -> None:
+        self.w(f"if {test}:")
+        self.ind += 1
+        self.w("break")
+        self.ind -= 1
+
+    def _budget_lines(self) -> None:
+        self.uses_steps = True
+        self.w("__steps += 1")
+        self.w(f"if __steps > {_MAX_LOOP_ITERS}:")
+        self.ind += 1
+        self.w("_budget()")
+        self.ind -= 1
+
+    def _loop_cond_break(self, cond: A.Node) -> None:
+        cnt: List[int] = [0, 0]
+        c, ck = self.uniform(cond, cnt, "varying loop condition")
+        self.flush(cnt)
+        self._break_if(f"not {self.truth(c, ck)}")
+
+    def _loop_body(self, body: Optional[A.Node], need_wrap: bool,
+                   has_break: bool) -> Optional[str]:
+        """Emit a loop body; returns the break-flag name if one was used."""
+        self.loop_depth += 1
+        if not need_wrap:
+            self.ctx.append(("native", None, self.mask_depth))
+            mark = len(self.lines)
+            self.stmt(body)
+            if len(self.lines) == mark:
+                self.w("pass")
+            flag = None
+        else:
+            flag = self.aux("b") if has_break else None
+            if flag is not None:
+                self.w(f"{flag} = 0")
+            xv = self.aux("x")
+            self.w(f"for {xv} in _ONE:")
+            self.ctx.append(("wrap", flag, self.mask_depth))
+            self._block(lambda: self.stmt(body))
+        self.ctx.pop()
+        self.loop_depth -= 1
+        return flag
+
+    def _while(self, s: A.While) -> None:
+        self.w("while 1:")
+        self.ind += 1
+        self._budget_lines()
+        self._loop_cond_break(s.cond)
+        self._loop_body(s.body, need_wrap=False, has_break=False)
+        self.ind -= 1
+
+    def _for(self, s: A.For) -> None:
+        self.stmt(s.init)
+        has_b, has_c = _scan_signals(s.body)
+        self.w("while 1:")
+        self.ind += 1
+        self._budget_lines()
+        if s.cond is not None:
+            self._loop_cond_break(s.cond)
+        flag = self._loop_body(s.body, need_wrap=has_c, has_break=has_b)
+        if flag is not None:
+            self._break_if(flag)
+        if s.step is not None:
+            self._step(s.step)
+        self.ind -= 1
+
+    def _step(self, e: A.Node) -> None:
+        """A ``for`` step, evaluated as an expression."""
+        cnt: List[int] = [0, 0]
+        code = self.expr(e, cnt)[0]
+        self.flush(cnt)
+        self.w(code)
+
+    def _break(self) -> None:
+        if not self.ctx:
+            raise self.unsup("break outside loop/switch")
+        kind, flag, depth = self.ctx[-1]
+        if depth != self.mask_depth:
+            raise self.unsup("break under a divergent mask")
+        if kind == "wrap":
+            if flag is None:
+                raise self.unsup("break in wrapped loop without flag")
+            self.w(f"{flag} = 1")
+        self.w("break")
+
+    def _continue(self) -> None:
+        if not self.ctx:
+            raise self.unsup("continue outside loop")
+        kind, _flag, depth = self.ctx[-1]
+        if depth != self.mask_depth:
+            raise self.unsup("continue under a divergent mask")
+        if kind == "native":
+            self.w("continue")
+        elif kind == "wrap":
+            self.w("break")
+        else:
+            raise self.unsup("continue inside switch")
+
+    def _decl_local(self, d: A.VarDecl) -> None:
+        """A ``__local`` / ``__shared__`` declaration (``extern``: CUDA's
+        dynamic shared region)."""
+        name = d.name
+        t = d.type
+        if "extern" in d.quals:
+            elem = t.elem if isinstance(t, T.ArrayType) else t
+            self.w(f"M_{name} = env.dynamic_shared_slot("
+                   f"{self.tref(elem)})")
+        else:
+            key = f"{self.fn.name}.{name}"
+            self.w(f"M_{name} = env.local_static_slot({key!r}, "
+                   f"{self.tref(t)})")
+        if isinstance(t, T.ArrayType) or "extern" in d.quals:
+            elem = t.elem if isinstance(t, T.ArrayType) else t
+            self.w(f"Md_{name} = _Ptr(M_{name}.mem, M_{name}.off, "
+                   f"{self.tref(elem)})")
+            self.arrays.add(name)
+
+    # -- function assembly ---------------------------------------------------
+
+    def _header(self, stem: str) -> List[Tuple[int, str]]:
+        """Restart the line buffer with the function's ``def`` line and the
+        prologue every emitter shares; returns the body emitted so far."""
+        body = self.lines
+        self.lines = []
+        self.ind = 0
+        argv = ", ".join(["env"] + [f"a{i}"
+                                    for i in range(len(self.fn.params))])
+        self.w(f"def {stem}{self.fn.name}({argv}):")
+        self.ind = 1
+        if not self.host:  # device functions are generators (barriers)
+            self.w("if False:")
+            self.ind += 1
+            self.w("yield")
+            self.ind -= 1
+        if self.uses_counts:
+            self.w("__C = env.launch.counters")
+        if self.uses_steps:
+            self.w("__steps = 0")
+        return body
+
+
+class _FnCodegen(_CoreCodegen):
+    """Lower one function to a generator per work-item (host mode: a plain
+    function)."""
+
+    def __init__(self, u: _UnitCodegen, fn: A.FunctionDecl) -> None:
+        super().__init__(u, fn)
+        self.callees: Set[str] = set()
+        self.has_alloc = False
+
+    def cc_wrap(self, code: str, cnt: List[int]) -> str:
+        """Wrap a conditionally-evaluated subexpression's static counts."""
+        if (cnt[0] or cnt[1]) and not self.host:
+            self.uses_counts = True
+            return f"_cc(__C, {cnt[0]}, {cnt[1]}, {code})"
+        return code
 
     # -- identifiers ---------------------------------------------------------
 
@@ -1044,14 +1454,6 @@ class _FnCodegen:
 
     # -- operators -----------------------------------------------------------
 
-    def intwrap(self, code: str, st: T.ScalarType) -> str:
-        bits = 8 * st.size
-        mask = (1 << bits) - 1
-        if st.signed:
-            half = 1 << (bits - 1)
-            return f"(({code} + {half} & {mask}) - {half})"
-        return f"({code} & {mask})"
-
     def binop(self, e: A.BinOp, cnt: List[int]) -> Tuple[str, str]:
         op = e.op
         if op in ("&&", "||"):
@@ -1065,31 +1467,7 @@ class _FnCodegen:
         a, ak = self.expr(e.lhs, cnt)
         b, bk = self.expr(e.rhs, cnt)
         if ak in "if" and bk in "if":
-            flop = "f" in (ak, bk)
-            cnt[0 if flop else 1] += 1
-            rt = e.ctype
-            wrap = (isinstance(rt, T.ScalarType) and not rt.floating
-                    and op in ("+", "-", "*", "<<"))
-            if op in ("+", "-", "*"):
-                code = f"({a} {op} {b})"
-                rk = "f" if flop else "i"
-                if wrap and not flop:
-                    return self.intwrap(code, rt), "i"
-                return code, rk
-            if op == "/":
-                return f"_dv({a}, {b})", ("f" if flop else "i")
-            if op == "%":
-                return f"_md({a}, {b})", ("f" if flop else "i")
-            if op in _CMP_OPS:
-                return f"(1 if {a} {op} {b} else 0)", "i"
-            if op in ("<<", ">>", "&", "|", "^"):
-                if flop:
-                    a, b = f"int({a})", f"int({b})"
-                code = f"({a} {op} {b})"
-                if op == "<<" and wrap:
-                    return self.intwrap(code, rt), "i"
-                return code, "i"
-            raise self.unsup(f"operator {op!r}")
+            return self.arith(e, a, ak, b, bk, cnt)
         # runtime-dispatched: counts + width wrap happen inside _bop
         rt = e.ctype
         rtref = (self.tref(rt) if isinstance(rt, T.ScalarType)
@@ -1109,19 +1487,11 @@ class _FnCodegen:
             rt = e.ctype
             return f"_ldp(env, {code}, {self.site()})", _kind_of(rt)
         code, k = self.expr(e.operand, cnt)
-        if op == "-":
-            if k in "if":
-                return f"(-{code})", k
+        if k not in "if" and op == "-":
             return f"_neg({code})", k
-        if op == "+":
-            return code, k
-        if op == "!":
-            return f"(0 if {self.truth(code, k)} else 1)", "i"
-        if op == "~":
-            if k in "if":
-                return f"(~int({code}))", "i"
+        if k not in "if" and op == "~":
             return f"_inv({code})", "?"
-        raise self.unsup(f"unary operator {op!r}")
+        return self._unary(op, code, k)
 
     def incdec(self, e: A.UnOp, cnt: List[int],
                as_stmt: bool) -> Tuple[str, str]:
@@ -1131,32 +1501,20 @@ class _FnCodegen:
             rec = self.names.get(t.name)
             if rec is not None and rec[0] in ("reg", "preg", "pregw"):
                 cls, dt = rec
-                v = f"V_{t.name}"
                 if t.name in self.retyped:
                     new = lambda cur: f"_incr({cur}, {delta}, T_{t.name})"
                     k = "?"
-                elif cls == "reg":
+                elif cls == "reg" and _kind_of(dt) in "if":
                     k = _kind_of(dt)
-                    if k == "i":
-                        new = lambda cur: self.intwrap(
-                            f"{cur} {'+' if delta > 0 else '-'} 1", dt)
-                    elif k == "f":
-                        new = lambda cur: self.co(
-                            f"({cur} {'+' if delta > 0 else '-'} 1)", dt, "f")
-                    else:
-                        new = lambda cur: f"_incr({cur}, {delta}, {self.tref(dt)})"
-                        k = "?"
+                    new = lambda cur: self._stepped(
+                        cur, dt, k, "+" if delta > 0 else "-")
+                elif cls == "reg":
+                    new = lambda cur: f"_incr({cur}, {delta}, {self.tref(dt)})"
+                    k = "?"
                 else:
                     new = lambda cur: f"_pinc({cur}, {delta})"
                     k = "?"
-                if as_stmt or not e.postfix:
-                    self_code = f"({v} := {new(v)})"
-                    if as_stmt:
-                        self.w(f"{v} = {new(v)}")
-                        return "", k
-                    return self_code, k
-                tmp = self.tmp()
-                return (f"(({tmp} := {v}), ({v} := {new(tmp)}), {tmp})[2]", k)
+                return self._reg_incdec(e, f"V_{t.name}", new, k, as_stmt)
             # memory ident falls through to the pointer path
         code, pt = self.lv_ptr(t, cnt)
         post = "True" if e.postfix else "False"
@@ -1207,14 +1565,9 @@ class _FnCodegen:
 
     def member(self, e: A.Member, cnt: List[int]) -> Tuple[str, str]:
         bt = e.base.ctype if isinstance(e.base, A.Expr) else None
-        if not e.arrow and isinstance(e.base, A.Ident):
-            name = e.base.name
-            if (name not in self.names and name not in self.u.sym_names
-                    and name not in self.u.gv_names):
-                # CUDA built-in dim registers: threadIdx.x and friends
-                if (self.u.dialect_name == "cuda" and not self.host
-                        and name in _CUDA_SPECIALS and e.name in _XYZ):
-                    return f"{_CUDA_SPECIALS[name]}[{_XYZ[e.name]}]", "i"
+        code = self._dim_register(e)
+        if code is not None:
+            return code, "i"
         if e.arrow:
             base, bk = self.expr(e.base, cnt)
             return (f"_arrow(env, {base}, {e.name!r}, {self.site()})",
@@ -1237,24 +1590,6 @@ class _FnCodegen:
 
     # -- casts / sizeof ------------------------------------------------------
 
-    def co(self, code: str, t: T.Type, k: str) -> str:
-        """Inline ``coerce(code, t)``; byte-identical to runtime coerce for
-        the statically-known kinds, generic ``_co`` otherwise."""
-        if isinstance(t, T.ScalarType) and t.name != "void" and k in "if":
-            if t.floating:
-                if t.size == 4:
-                    return f"_f32({code})"
-                if t.size == 2:
-                    return f"_f16({code})"
-                return f"float({code})"
-            if k == "f":
-                code = f"int({code})"
-            return self.intwrap(code, t)
-        if isinstance(t, (T.StructType, T.ArrayType, T.OpaqueType,
-                          T.ImageType, T.SamplerType, T.TextureType)):
-            return code  # coerce is the identity
-        return f"_co({code}, {self.tref(t)})"
-
     def reg_co(self, name: str, code: str, t: T.Type, k: str) -> str:
         """Coercion of a store to register ``name``: through its declared
         type, or for a retyped name the type its last executed
@@ -1276,13 +1611,9 @@ class _FnCodegen:
         return self.co(code, t, k), _kind_of(t)
 
     def sizeof(self, e: A.SizeOf, cnt: List[int]) -> Tuple[str, str]:
-        if e.type is not None:
-            if e.type.size is None:
-                raise self.unsup("sizeof incomplete type")
-            return str(e.type.size), "i"
-        ct = e.expr.ctype if isinstance(e.expr, A.Expr) else None
-        if ct is not None and ct.size:
-            return str(ct.size), "i"
+        size = self._static_size(e)
+        if size is not None:
+            return size, "i"
         code, _ = self.expr(e.expr, cnt)
         return f"_szv({code})", "i"
 
@@ -1316,29 +1647,9 @@ class _FnCodegen:
             if self.host:
                 return f"_F_{name}({inner})", k
             return f"_callx(_F_{name}({inner}), {name!r})", k
-        if (self.u.dialect_name == "opencl" and name in _OPENCL_IDS
-                and len(e.args) == 1):
-            d, dk = self.expr(e.args[0], cnt)
-            if dk != "i":
-                d = f"int({d})"
-            return f"{_OPENCL_IDS[name]}[{d}]", "i"
-        if (self.u.dialect_name == "opencl"
-                and name == "get_global_size" and len(e.args) == 1):
-            d, dk = self.expr(e.args[0], cnt)
-            if not isinstance(e.args[0], A.IntLit):
-                # the dim code is embedded twice below; only literals are
-                # safe to re-evaluate (no hooks, no walrus temps)
-                return f"env.global_size(int({d}))", "i"
-            if dk != "i":
-                d = f"int({d})"
-            return (f"(env.launch.grid[{d}] * env.launch.block[{d}])", "i")
-        if (self.u.dialect_name == "opencl"
-                and name == "get_work_dim" and not e.args):
-            return "env.launch.work_dim", "i"
-        if (self.u.dialect_name == "opencl"
-                and name == "get_global_offset" and len(e.args) == 1):
-            d, _ = self.expr(e.args[0], cnt)
-            return f"({d}, 0)[1]", "i"
+        query = self._work_item_query(e, cnt)
+        if query is not None:
+            return query
         conv = resolve_conversion(name, self.u.dialect)
         if conv is not None and len(e.args) != 1:
             raise self.unsup(f"conversion {name!r} with {len(e.args)} args")
@@ -1404,23 +1715,6 @@ class _FnCodegen:
         raise self.unsup(f"not a supported lvalue: {type(e).__name__}")
 
     # -- assignment ----------------------------------------------------------
-
-    def _apply_code(self, op: str, cur: str, rhs: str, tk: str,
-                    rk: str) -> Tuple[str, str]:
-        """Compound-assign apply step (uncounted, like Interp._assign)."""
-        if tk in "if" and rk in "if":
-            flop = "f" in (tk, rk)
-            if op in ("+", "-", "*"):
-                return f"({cur} {op} {rhs})", ("f" if flop else "i")
-            if op == "/":
-                return f"_dv({cur}, {rhs})", ("f" if flop else "i")
-            if op == "%":
-                return f"_md({cur}, {rhs})", ("f" if flop else "i")
-            if op in ("<<", ">>", "&", "|", "^"):
-                a = f"int({cur})" if flop else cur
-                b = f"int({rhs})" if rk == "f" else rhs
-                return f"({a} {op} {b})", "i"
-        return f"_ab({op!r}, {cur}, {rhs}, env)", "?"
 
     def _writes_name(self, e: A.Node, name: str) -> bool:
         for n in A.walk(e):
@@ -1678,52 +1972,6 @@ class _FnCodegen:
 
     # -- statements ----------------------------------------------------------
 
-    def stmt(self, s: Optional[A.Node]) -> None:
-        if s is None:
-            return
-        kind = type(s)
-        if kind is A.Compound:
-            for st in s.stmts:
-                self.stmt(st)
-        elif kind is A.ExprStmt:
-            self.expr_stmt(s.expr)
-        elif kind is A.DeclStmt:
-            for d in s.decls:
-                self.decl(d)
-        elif kind is A.If:
-            cnt: List[int] = [0, 0]
-            c, ck = self.expr(s.cond, cnt)
-            self.flush(cnt)
-            self.w(f"if {self.truth(c, ck)}:")
-            self._block(lambda: self.stmt(s.then))
-            if s.orelse is not None:
-                self.w("else:")
-                self._block(lambda: self.stmt(s.orelse))
-        elif kind is A.For:
-            self._for(s)
-        elif kind is A.While:
-            self._while(s)
-        elif kind is A.DoWhile:
-            self._dowhile(s)
-        elif kind is A.Return:
-            self._return(s)
-        elif kind is A.Break:
-            self._break()
-        elif kind is A.Continue:
-            self._continue()
-        elif kind is A.Switch:
-            self._switch(s)
-        else:
-            raise self.unsup(f"cannot compile {kind.__name__} statement")
-
-    def _block(self, emit) -> None:
-        mark = len(self.lines)
-        self.ind += 1
-        emit()
-        if len(self.lines) == mark:
-            self.w("pass")
-        self.ind -= 1
-
     def expr_stmt(self, e: A.Node) -> None:
         cnt: List[int] = [0, 0]
         if isinstance(e, A.Call) and e.callee_name is not None:
@@ -1752,27 +2000,17 @@ class _FnCodegen:
                 self.w(f"{'' if self.host else 'yield from '}"
                        f"_F_{name}({inner})")
                 return
-        if isinstance(e, A.Assign):
-            if (isinstance(e.value, A.Call)
-                    and e.value.callee_name in self.u.warp_ops):
-                self._warp_assign(e, cnt)
-                return
-            mark = len(self.lines)
-            code, _ = self.assign(e, cnt, as_stmt=True)
-            self.flush_at(cnt, mark)
-            if code:
-                self.w(code)
+        if (isinstance(e, A.Assign) and isinstance(e.value, A.Call)
+                and e.value.callee_name in self.u.warp_ops):
+            self._warp_assign(e, cnt)
             return
-        if isinstance(e, A.UnOp) and e.op in ("++", "--"):
-            mark = len(self.lines)
-            code, _ = self.unop(e, cnt, as_stmt=True)
-            self.flush_at(cnt, mark)
-            if code:
-                self.w(code)
-            return
-        code, _ = self.expr(e, cnt)
-        self.flush(cnt)
-        self.w(code)
+        self._plain_stmt(e, cnt)
+
+    def assign_stmt(self, e: A.Assign, cnt: List[int]) -> None:
+        self.assign(e, cnt, as_stmt=True)
+
+    def incdec_stmt(self, e: A.UnOp, cnt: List[int]) -> None:
+        self.incdec(e, cnt, as_stmt=True)
 
     def _warp_yield(self, wk: str, call: A.Call,
                     cnt: List[int]) -> str:
@@ -1802,95 +2040,13 @@ class _FnCodegen:
             self.w(f"{r} = _ab({e.op!r}, V_{t.name}, {r}, env)")
         self.w(f"V_{t.name} = {self.reg_co(t.name, r, dt, '?')}")
 
-    def flush_at(self, cnt: List[int], mark: int) -> None:
-        """Insert the statement's static count flush *before* any lines an
-        as_stmt emitter already wrote (counts precede the statement)."""
-        ins: List[Tuple[int, str]] = []
-        if self.host:
-            cnt[0] = cnt[1] = 0
-        if cnt[0]:
-            self.uses_counts = True
-            ins.append((self.ind, f"__C.flops += {cnt[0]}"))
-        if cnt[1]:
-            self.uses_counts = True
-            ins.append((self.ind, f"__C.iops += {cnt[1]}"))
-        cnt[0] = cnt[1] = 0
-        self.lines[mark:mark] = ins
-
-    def _budget_lines(self) -> None:
-        self.uses_steps = True
-        self.w("__steps += 1")
-        self.w(f"if __steps > {_MAX_LOOP_ITERS}:")
-        self.ind += 1
-        self.w("_budget()")
-        self.ind -= 1
-
-    def _loop_body(self, body: Optional[A.Node], need_wrap: bool,
-                   has_break: bool) -> Optional[str]:
-        """Emit a loop body; returns the break-flag name if one was used."""
-        if not need_wrap:
-            self.ctx.append(("native", None))
-            mark = len(self.lines)
-            self.stmt(body)
-            if len(self.lines) == mark:
-                self.w("pass")
-            self.ctx.pop()
-            return None
-        flag = self.aux("b") if has_break else None
-        if flag is not None:
-            self.w(f"{flag} = 0")
-        xv = self.aux("x")
-        self.w(f"for {xv} in _ONE:")
-        self.ctx.append(("wrap", flag))
-        self._block(lambda: self.stmt(body))
-        self.ctx.pop()
-        return flag
-
-    def _while(self, s: A.While) -> None:
-        self.w("while 1:")
-        self.ind += 1
-        self._budget_lines()
-        cnt: List[int] = [0, 0]
-        c, ck = self.expr(s.cond, cnt)
-        self.flush(cnt)
-        self.w(f"if not {self.truth(c, ck)}:")
-        self.ind += 1
-        self.w("break")
-        self.ind -= 1
-        self.ctx.append(("native", None))
-        mark = len(self.lines)
-        self.stmt(s.body)
-        if len(self.lines) == mark:
-            self.w("pass")
-        self.ctx.pop()
-        self.ind -= 1
-
-    def _for(self, s: A.For) -> None:
-        self.stmt(s.init)
-        has_b, has_c = _scan_signals(s.body)
-        self.w("while 1:")
-        self.ind += 1
-        self._budget_lines()
-        if s.cond is not None:
-            cnt: List[int] = [0, 0]
-            c, ck = self.expr(s.cond, cnt)
-            self.flush(cnt)
-            self.w(f"if not {self.truth(c, ck)}:")
-            self.ind += 1
-            self.w("break")
-            self.ind -= 1
-        flag = self._loop_body(s.body, need_wrap=has_c, has_break=has_b)
-        if flag is not None:
-            self.w(f"if {flag}:")
-            self.ind += 1
-            self.w("break")
-            self.ind -= 1
-        if s.step is not None:
-            cnt = [0, 0]
-            code, _ = self.expr(s.step, cnt)
-            self.flush(cnt)
-            self.w(code)
-        self.ind -= 1
+    def _other_stmt(self, s: A.Node) -> None:
+        if type(s) is A.DoWhile:
+            self._dowhile(s)
+        elif type(s) is A.Switch:
+            self._switch(s)
+        else:
+            raise self.unsup(f"cannot compile {type(s).__name__} statement")
 
     def _dowhile(self, s: A.DoWhile) -> None:
         has_b, has_c = _scan_signals(s.body)
@@ -1899,17 +2055,8 @@ class _FnCodegen:
         self._budget_lines()
         flag = self._loop_body(s.body, need_wrap=has_c, has_break=has_b)
         if flag is not None:
-            self.w(f"if {flag}:")
-            self.ind += 1
-            self.w("break")
-            self.ind -= 1
-        cnt: List[int] = [0, 0]
-        c, ck = self.expr(s.cond, cnt)
-        self.flush(cnt)
-        self.w(f"if not {self.truth(c, ck)}:")
-        self.ind += 1
-        self.w("break")
-        self.ind -= 1
+            self._break_if(flag)
+        self._loop_cond_break(s.cond)
         self.ind -= 1
 
     def _switch(self, s: A.Switch) -> None:
@@ -1923,7 +2070,7 @@ class _FnCodegen:
         self.w(f"{m} = 0")
         self.w(f"for {xv} in _ONE:")
         self.ind += 1
-        self.ctx.append(("switch", None))
+        self.ctx.append(("switch", None, self.mask_depth))
         for case in s.cases:
             if case.value is None:
                 self.w(f"if not {m}:")
@@ -1945,27 +2092,6 @@ class _FnCodegen:
         self.ctx.pop()
         self.ind -= 1
 
-    def _break(self) -> None:
-        if not self.ctx:
-            raise self.unsup("break outside loop/switch")
-        kind, flag = self.ctx[-1]
-        if kind == "wrap":
-            if flag is None:
-                raise self.unsup("break in wrapped loop without flag")
-            self.w(f"{flag} = 1")
-        self.w("break")
-
-    def _continue(self) -> None:
-        if not self.ctx:
-            raise self.unsup("continue outside loop")
-        kind, _ = self.ctx[-1]
-        if kind == "native":
-            self.w("continue")
-        elif kind == "wrap":
-            self.w("break")
-        else:
-            raise self.unsup("continue inside switch")
-
     def _return(self, s: A.Return) -> None:
         cnt: List[int] = [0, 0]
         if s.value is None:
@@ -1986,25 +2112,12 @@ class _FnCodegen:
     # -- declarations --------------------------------------------------------
 
     def decl(self, d: A.VarDecl) -> None:
-        name = d.name
-        rec = self.names[name]
-        t = d.type
         if d.space == T.AddressSpace.LOCAL:
-            if "extern" in d.quals:
-                elem = t.elem if isinstance(t, T.ArrayType) else t
-                self.w(f"M_{name} = env.dynamic_shared_slot("
-                       f"{self.tref(elem)})")
-            else:
-                key = f"{self.fn.name}.{name}"
-                self.w(f"M_{name} = env.local_static_slot({key!r}, "
-                       f"{self.tref(t)})")
-            if isinstance(t, T.ArrayType) or "extern" in d.quals:
-                elem = t.elem if isinstance(t, T.ArrayType) else t
-                self.w(f"Md_{name} = _Ptr(M_{name}.mem, M_{name}.off, "
-                       f"{self.tref(elem)})")
-                self.arrays.add(name)
+            self._decl_local(d)
             return
-        if rec[0] == "mem":
+        name = d.name
+        t = d.type
+        if self.names[name][0] == "mem":
             size = t.size
             if size is None:
                 raise self.unsup(f"incomplete type for {name!r}")
@@ -2132,21 +2245,7 @@ class _FnCodegen:
                 else:
                     self.w(f"V_{p.name} = _co(a{i}, {self.tref(pt)})")
         self.stmt(fn.body)
-        body = self.lines
-        self.lines = []
-        self.ind = 0
-        argv = ", ".join(["env"] + [f"a{i}" for i in range(len(fn.params))])
-        self.w(f"def _F_{fn.name}({argv}):")
-        self.ind = 1
-        if not self.host:  # device functions are generators (barriers)
-            self.w("if False:")
-            self.ind += 1
-            self.w("yield")
-            self.ind -= 1
-        if self.uses_counts:
-            self.w("__C = env.launch.counters")
-        if self.uses_steps:
-            self.w("__steps = 0")
+        body = self._header("_F_")
         if self.has_alloc:
             self.w("__stk = env.stack")
             self.w("__pm = __stk.mem")

@@ -24,6 +24,7 @@ from ..runtime.memory import Memory
 from ..runtime.values import Ptr, StructRef, Vec, coerce
 from . import types as T
 from .interp import ExecEnv
+from .stdlib import NAMED_CONSTANTS
 
 __all__ = ["HostEnv", "c_format"]
 
@@ -265,15 +266,13 @@ class HostEnv(ExecEnv):
             table[name + "f"] = fn
         self._builtins.update(table)
         self._constants.update({
-            "NULL": 0, "RAND_MAX": 0x7FFFFFFF,
-            "stdout": 1, "stderr": 2,
-            "EXIT_SUCCESS": 0, "EXIT_FAILURE": 1,
-            "M_PI": math.pi, "M_E": math.e,
-            "FLT_MAX": 3.4028234663852886e38, "FLT_MIN": 1.175494e-38,
-            "DBL_MAX": 1.7976931348623157e308,
-            "INT_MAX": 2**31 - 1, "INT_MIN": -(2**31),
-            "FLT_EPSILON": 1.1920929e-07,
+            "RAND_MAX": 0x7FFFFFFF, "stdout": 1, "stderr": 2,
+            "EXIT_SUCCESS": 0, "EXIT_FAILURE": 1, "M_E": math.e,
+            "DBL_MAX": 1.7976931348623157e308, "INT_MIN": -(2**31),
         })
+        for name in ("NULL", "M_PI", "INT_MAX", "FLT_MAX", "FLT_MIN",
+                     "FLT_EPSILON"):
+            self._constants[name] = NAMED_CONSTANTS[name]
 
 
 class _ExitSignal(Exception):

@@ -12,6 +12,8 @@ callable ``(arg_types) -> Type`` for generics (``min``, ``sqrt`` ...).
 
 from __future__ import annotations
 
+import math
+import struct
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from . import types as T
@@ -20,7 +22,7 @@ __all__ = [
     "Signature", "swizzle_indices",
     "OPENCL_DEVICE_SIGS", "CUDA_DEVICE_SIGS", "HOST_SIGS",
     "OPENCL_SPECIAL_VARS", "CUDA_SPECIAL_VARS",
-    "CUDA_HW_BUILTINS", "signatures_for",
+    "CUDA_HW_BUILTINS", "NAMED_CONSTANTS", "signatures_for",
 ]
 
 Signature = Union[T.FunctionType, Callable[[Sequence[T.Type]], T.Type]]
@@ -316,6 +318,32 @@ HOST_SIGS: Dict[str, Signature] = {
     "min": _common, "max": _common,
 }
 _add_math(HOST_SIGS, f_suffix=True)
+
+
+# ---------------------------------------------------------------------------
+# Named constants
+# ---------------------------------------------------------------------------
+
+#: the float nearest pi, as C's ``M_PI_F`` / ``CUDART_PI_F`` hold it
+_PI_F = struct.unpack("<f", struct.pack("<f", math.pi))[0]
+
+#: value of every named constant a kernel reads as a bare identifier
+#: (``ExecEnv.constant``); the host library takes its float limits from
+#: here too.  Floats hold C's values: the ``_F`` names and the ``FLT_``
+#: limits are binary32 values.
+NAMED_CONSTANTS: Dict[str, Union[int, float]] = {
+    "CLK_LOCAL_MEM_FENCE": 1, "CLK_GLOBAL_MEM_FENCE": 2,
+    "CLK_NORMALIZED_COORDS_FALSE": 0x00, "CLK_NORMALIZED_COORDS_TRUE": 0x01,
+    "CLK_ADDRESS_NONE": 0x00, "CLK_ADDRESS_CLAMP_TO_EDGE": 0x02,
+    "CLK_ADDRESS_CLAMP": 0x04, "CLK_ADDRESS_REPEAT": 0x06,
+    "CLK_FILTER_NEAREST": 0x10, "CLK_FILTER_LINEAR": 0x20,
+    "CUDART_INF_F": float("inf"), "INFINITY": float("inf"),
+    "HUGE_VALF": float("inf"), "NAN": float("nan"),
+    "M_PI": math.pi, "M_PI_F": _PI_F, "CUDART_PI_F": _PI_F,
+    "FLT_MAX": 3.4028234663852886e38, "MAXFLOAT": 3.4028234663852886e38,
+    "FLT_MIN": 2.0 ** -126, "FLT_EPSILON": 2.0 ** -23,
+    "INT_MAX": 2**31 - 1, "NULL": 0,
+}
 
 
 # ---------------------------------------------------------------------------

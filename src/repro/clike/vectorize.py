@@ -1,12 +1,15 @@
 """Vector tier: warp-batched codegen over numpy lanes.
 
 The scalar compile tier (:mod:`repro.clike.compile`) runs one generated
-generator per work-item; this module lowers *eligible* kernels a second
-time, into the same artifact's warp section: one generator per **warp**
-(``_W_<kernel>``), where every statement executes all active lanes at
-once over numpy arrays — vectorized loads/stores via gather/scatter,
-arithmetic over ``int64``/``float64`` lanes, and masked active-sets for
-uniformly-nested divergent branches.
+generator per work-item.  This module's emitter, the second subclass of
+that tier's emitter core (``compile._CoreCodegen``), writes *eligible*
+kernels into the same artifact's warp section: one generator per
+**warp** (``_W_<kernel>``), where every statement executes all active
+lanes at once over numpy arrays — vectorized loads/stores via
+gather/scatter, arithmetic over ``int64``/``float64`` lanes, and masked
+active-sets for uniformly-nested divergent branches.  The core writes
+everything a uniform value needs, with the scalar tier's exact text;
+this module adds what varying lanes need, plus their runtime helpers.
 
 The contract is unchanged from the scalar tier: byte identity with the
 interpreter for output buffers, performance counters, and therefore the
@@ -52,11 +55,11 @@ from ..runtime.memory import Memory
 from ..runtime.values import Ptr
 from . import ast as A
 from . import types as T
-from .compile import (CompileUnsupported, _CMP_OPS, _CUDA_SPECIALS,
-                      _MAX_LOOP_ITERS, _OPENCL_IDS, _XYZ, _UnitCodegen, _f16,
-                      _f32, _kind_of, _scan_signals)
+from .compile import (_CMP_OPS, _CUDA_SPECIALS, _OPENCL_IDS, _XYZ,
+                      _CoreCodegen, _UnitCodegen, _f16, _f32, _kind_of)
 from .interp import _apply_binop, _c_div, _c_mod, _truth
 from .sema import resolve_conversion
+from .stdlib import NAMED_CONSTANTS
 
 __all__ = ["WarpEnv", "WARP_HELPERS"]
 
@@ -88,9 +91,9 @@ class WarpEnv:
 
     Holds the lane-id arrays for one warp window ``[lo, hi)`` of a
     work-group and the batched accounting hooks.  Reuses the scalar
-    :class:`~repro.device.engine.WorkItemEnv` logic for the pieces that
-    only touch shared launch state (shared-memory slots, named
-    constants), so the two tiers cannot drift.
+    :class:`~repro.device.engine.WorkItemEnv` logic for the shared-memory
+    slots, which only touch shared launch state, and reads the same
+    named-constant table, so the two tiers cannot drift.
     """
 
     __slots__ = ("launch", "group", "lo", "hi", "n", "lids", "_tc",
@@ -116,7 +119,7 @@ class WarpEnv:
         self.gid1 = group[1] * block[1] + self.lid1
         self.gid2 = group[2] * block[2] + self.lid2
 
-    # -- shared state (delegated to the scalar env implementation) ----------
+    # -- shared state: the scalar env's slots, the constants table -----------
 
     def local_static_slot(self, name: str, ctype: T.Type) -> Ptr:
         from ..device.engine import WorkItemEnv
@@ -127,11 +130,7 @@ class WarpEnv:
         return WorkItemEnv.dynamic_shared_slot(self, elem)
 
     def constant(self, name: str) -> Any:
-        from ..device.engine import WorkItemEnv
-        # the scalar implementation reads self._CLK_CONSTANTS; mirror the
-        # class attribute here once so the unbound call resolves it
-        WarpEnv._CLK_CONSTANTS = WorkItemEnv._CLK_CONSTANTS
-        return WorkItemEnv.constant(self, name)
+        return NAMED_CONSTANTS[name]
 
     def special_var(self, name: str) -> Any:
         # only the uniform CUDA special is resolvable per-warp; the Vec
@@ -638,18 +637,11 @@ WARP_HELPERS: Dict[str, Any] = {
 # static classification
 # ---------------------------------------------------------------------------
 
-#: runtime kinds of the named constants ``_dynid`` can resolve
-_CONST_KINDS = {
-    "CLK_LOCAL_MEM_FENCE": "i", "CLK_GLOBAL_MEM_FENCE": "i",
-    "CLK_NORMALIZED_COORDS_FALSE": "i", "CLK_NORMALIZED_COORDS_TRUE": "i",
-    "CLK_ADDRESS_NONE": "i", "CLK_ADDRESS_CLAMP_TO_EDGE": "i",
-    "CLK_ADDRESS_CLAMP": "i", "CLK_ADDRESS_REPEAT": "i",
-    "CLK_FILTER_NEAREST": "i", "CLK_FILTER_LINEAR": "i",
-    "INT_MAX": "i", "NULL": "i", "warpSize": "i",
-    "CUDART_INF_F": "f", "INFINITY": "f", "HUGE_VALF": "f", "NAN": "f",
-    "M_PI": "f", "M_PI_F": "f", "CUDART_PI_F": "f", "FLT_MAX": "f",
-    "MAXFLOAT": "f", "FLT_MIN": "f", "FLT_EPSILON": "f",
-}
+#: runtime kinds of the uniform names ``_dynid`` can resolve: the named
+#: constants and CUDA's ``warpSize``
+_CONST_KINDS = {name: "f" if isinstance(v, float) else "i"
+                for name, v in NAMED_CONSTANTS.items()}
+_CONST_KINDS["warpSize"] = "i"
 
 #: OpenCL work-item builtins that vary per lane
 _VARYING_IDS = frozenset({"get_global_id", "get_local_id"})
@@ -674,34 +666,23 @@ def _elem_of(bt: Optional[T.Type]) -> Optional[T.Type]:
 # per-kernel vector codegen
 # ---------------------------------------------------------------------------
 
-class _VecFnCodegen:
+class _VecFnCodegen(_CoreCodegen):
     """Lower one kernel to a per-warp generator.
 
     Values are either *uniform* (Python scalars, emitted with the scalar
-    tier's exact expression text) or *varying* (numpy arrays over the
-    currently active lanes).  Divergent-but-uniformly-nested ``if``
-    statements narrow the active lane-index set; a leading
-    ``if (cond) return;`` guard narrows it permanently and arms the
-    ``__R`` divergence flag checked at every later barrier.
+    tier's exact expression text, which the shared core writes) or
+    *varying* (numpy arrays over the currently active lanes).
+    Divergent-but-uniformly-nested ``if`` statements narrow the active
+    lane-index set; a leading ``if (cond) return;`` guard narrows it
+    permanently and arms the ``__R`` divergence flag checked at every
+    later barrier.
     """
 
     def __init__(self, u: _UnitCodegen, fn: A.FunctionDecl) -> None:
-        self.u = u
-        self.fn = fn
-        self.lines: List[Tuple[int, str]] = []
-        self.ind = 0
-        self.ntmp = 0
-        self.uses_counts = False
-        self.uses_steps = False
+        super().__init__(u, fn)
         self.guarded = False
         self.full = True
         self.act = ("__I0", "__n0")
-        self.mask_depth = 0
-        self.loop_depth = 0
-        # (kind, break-flag, mask_depth at loop entry)
-        self.ctx: List[Tuple[str, Optional[str], int]] = []
-        self.names: Dict[str, Tuple[str, T.Type]] = {}
-        self.arrays: Set[str] = set()
         self.vary: Dict[str, bool] = {}
 
     # -- infrastructure ------------------------------------------------------
@@ -714,45 +695,15 @@ class _VecFnCodegen:
     def actn(self) -> str:
         return self.act[1]
 
-    def w(self, line: str) -> None:
-        self.lines.append((self.ind, line))
+    def count_scale(self) -> str:
+        return f" * {self.actn}"
 
-    def tmp(self) -> str:
-        self.ntmp += 1
-        return f"__t{self.ntmp}"
-
-    def aux(self, stem: str) -> str:
-        self.ntmp += 1
-        return f"__{stem}{self.ntmp}"
-
-    def site(self) -> int:
-        return self.u.new_site()
-
-    def unsup(self, why: str) -> CompileUnsupported:
-        return CompileUnsupported(f"{self.fn.name}: {why}")
-
-    def flush(self, cnt: List[int]) -> None:
-        if cnt[0]:
-            self.uses_counts = True
-            self.w(f"__C.flops += {cnt[0]} * {self.actn}")
-        if cnt[1]:
-            self.uses_counts = True
-            self.w(f"__C.iops += {cnt[1]} * {self.actn}")
-        cnt[0] = cnt[1] = 0
-
-    def flush_at(self, cnt: List[int], mark: int) -> None:
-        ins: List[Tuple[int, str]] = []
-        if cnt[0]:
-            self.uses_counts = True
-            ins.append((self.ind, f"__C.flops += {cnt[0]} * {self.actn}"))
-        if cnt[1]:
-            self.uses_counts = True
-            ins.append((self.ind, f"__C.iops += {cnt[1]} * {self.actn}"))
-        cnt[0] = cnt[1] = 0
-        self.lines[mark:mark] = ins
-
-    def truth(self, code: str, kind: str) -> str:
-        return code if kind in "ifp" else f"_tr({code})"
+    def uniform(self, e: A.Node, cnt: List[int],
+                why: str) -> Tuple[str, str]:
+        c, k, vary = self.expr(e, cnt)
+        if vary:
+            raise self.unsup(why)
+        return c, k
 
     def rread(self, name: str) -> str:
         if self.full:
@@ -762,14 +713,10 @@ class _VecFnCodegen:
     # -- prepass: name classes + uniformity fixpoint -------------------------
 
     def prepass(self) -> None:
-        from .compile import _FnCodegen
-        sc = _FnCodegen(self.u, self.fn)
-        sc.prepass()
-        if sc.retyped:
+        super().prepass()
+        if self.retyped:
             raise self.unsup(
-                f"conflicting redeclaration of {min(sc.retyped)!r}")
-        self.names = sc.names
-        self.arrays = set(sc.arrays)
+                f"conflicting redeclaration of {min(self.retyped)!r}")
         for name, (cls, t) in self.names.items():
             if cls == "pregw":
                 raise self.unsup(f"reassigned parameter {name!r}")
@@ -988,17 +935,13 @@ class _VecFnCodegen:
         return (f"_dynid(env, {name!r}, {line})",
                 _CONST_KINDS.get(name, "?"), False)
 
-    def vintwrap(self, code: str, st: T.ScalarType, vary: bool) -> str:
+    def intwrap(self, code: str, st: T.ScalarType,
+                vary: bool = False) -> str:
         if not _scalar_ok(st):
             raise self.unsup(f"unsigned 64-bit result type {st.name}")
-        bits = 8 * st.size
-        if vary and bits == 64:
+        if vary and st.size == 8:
             return f"_vw64({code})"
-        mask = (1 << bits) - 1
-        if st.signed:
-            half = 1 << (bits - 1)
-            return f"(({code} + {half} & {mask}) - {half})"
-        return f"({code} & {mask})"
+        return super().intwrap(code, st)
 
     def binop(self, e: A.BinOp, cnt: List[int]) -> Tuple[str, str, bool]:
         op = e.op
@@ -1008,39 +951,16 @@ class _VecFnCodegen:
         b, bk, bv = self.expr(e.rhs, cnt)
         if ak not in "if" or bk not in "if":
             raise self.unsup(f"operator {op!r} on kinds {ak}{bk}")
-        flop = "f" in (ak, bk)
-        cnt[0 if flop else 1] += 1
-        vary = av or bv
+        if not (av or bv):
+            return (*self.arith(e, a, ak, b, bk, cnt), False)
+        flop, wrap = self._op_shape(e, ak, bk, cnt)
         rt = e.ctype
-        wrap = (isinstance(rt, T.ScalarType) and not rt.floating
-                and op in ("+", "-", "*", "<<"))
-        if not vary:
-            # uniform subtree: the scalar tier's exact Python expression
-            if op in ("+", "-", "*"):
-                code = f"({a} {op} {b})"
-                if wrap and not flop:
-                    return self.vintwrap(code, rt, False), "i", False
-                return code, ("f" if flop else "i"), False
-            if op == "/":
-                return f"_dv({a}, {b})", ("f" if flop else "i"), False
-            if op == "%":
-                return f"_md({a}, {b})", ("f" if flop else "i"), False
-            if op in _CMP_OPS:
-                return f"(1 if {a} {op} {b} else 0)", "i", False
-            if op in ("<<", ">>", "&", "|", "^"):
-                if flop:
-                    a, b = f"int({a})", f"int({b})"
-                code = f"({a} {op} {b})"
-                if op == "<<" and wrap:
-                    return self.vintwrap(code, rt, False), "i", False
-                return code, "i", False
-            raise self.unsup(f"operator {op!r}")
         if op in ("+", "-", "*"):
             code = f"({a} {op} {b})"
             if flop:
                 return code, "f", True
             if wrap:
-                return self.vintwrap(code, rt, True), "i", True
+                return self.intwrap(code, rt, True), "i", True
             raise self.unsup(f"unannotated varying integer {op!r}")
         if op == "/":
             return ((f"_vdvf({a}, {b})", "f", True) if flop
@@ -1056,7 +976,7 @@ class _VecFnCodegen:
             if op == "<<":
                 code = f"_vshl({a}, {b})"
                 if wrap:
-                    return self.vintwrap(code, rt, True), "i", True
+                    return self.intwrap(code, rt, True), "i", True
                 raise self.unsup("unannotated varying shift")
             return f"({a} {op} {b})", "i", True
         raise self.unsup(f"operator {op!r}")
@@ -1124,23 +1044,15 @@ class _VecFnCodegen:
         if op in ("&", "*"):
             raise self.unsup(f"unary operator {op!r}")
         code, k, vary = self.expr(e.operand, cnt)
-        if op == "-":
-            if k not in "if":
-                raise self.unsup("unary minus on this kind")
-            return f"(-{code})", k, vary
-        if op == "+":
-            return code, k, vary
-        if op == "!":
-            if not vary:
-                return f"(0 if {self.truth(code, k)} else 1)", "i", False
+        if op == "-" and k not in "if":
+            raise self.unsup("unary minus on this kind")
+        if op == "~" and k not in "if":
+            raise self.unsup("~ on this kind")
+        if vary and op == "!":
             return f"((({code}) == 0).astype(_i8))", "i", True
-        if op == "~":
-            if k not in "if":
-                raise self.unsup("~ on this kind")
-            if not vary:
-                return f"(~int({code}))", "i", False
+        if vary and op == "~":
             return f"(~_vix({code}))", "i", True
-        raise self.unsup(f"unary operator {op!r}")
+        return (*self._unary(op, code, k), vary)
 
     def incdec_expr(self, e: A.UnOp) -> Tuple[str, str, bool]:
         t = e.operand
@@ -1149,24 +1061,15 @@ class _VecFnCodegen:
         rec = self.names.get(t.name)
         if rec is None or rec[0] != "reg" or self.vary.get(t.name):
             raise self.unsup("++/-- on a non-uniform register")
-        _cls, dt = rec
+        dt = rec[1]
         k = _kind_of(dt)
-        v = f"V_{t.name}"
-        sign = "+" if e.op == "++" else "-"
-        if k == "i":
-            new = self.vintwrap(f"{v} {sign} 1", dt, False)
-        elif k == "f":
-            new = self.co(f"({v} {sign} 1)", dt, "f", False)
-        else:
+        if k not in "if":
             raise self.unsup("++/-- on this kind")
-        if not e.postfix:
-            return f"({v} := {new})", k, False
-        tmp = self.tmp()
-        if k == "i":
-            newc = self.vintwrap(f"{tmp} {sign} 1", dt, False)
-        else:
-            newc = self.co(f"({tmp} {sign} 1)", dt, "f", False)
-        return (f"(({tmp} := {v}), ({v} := {newc}), {tmp})[2]", k, False)
+        sign = "+" if e.op == "++" else "-"
+        code, k = self._reg_incdec(
+            e, f"V_{t.name}", lambda cur: self._stepped(cur, dt, k, sign), k,
+            False)
+        return code, k, False
 
     def index(self, e: A.Index, cnt: List[int]) -> Tuple[str, str, bool]:
         bt = e.base.ctype if isinstance(e.base, A.Expr) else None
@@ -1185,41 +1088,21 @@ class _VecFnCodegen:
                 f"_D_{elem.name}, {self.site()})", _kind_of(elem), True)
 
     def member(self, e: A.Member, cnt: List[int]) -> Tuple[str, str, bool]:
-        if (not e.arrow and isinstance(e.base, A.Ident)
-                and e.base.name not in self.names
-                and e.base.name not in self.u.sym_names
-                and e.base.name not in self.u.gv_names
-                and self.u.dialect_name == "cuda"
-                and e.base.name in _CUDA_SPECIALS and e.name in _XYZ):
-            d = _XYZ[e.name]
-            name = e.base.name
-            if name == "threadIdx":
-                code = f"env.lid{d}"
-                if not self.full:
-                    code = f"{code}[{self.actA}]"
-                return code, "i", True
-            if name == "blockIdx":
-                return f"env.group[{d}]", "i", False
-            if name == "blockDim":
-                return f"env.launch.block[{d}]", "i", False
-            return f"env.launch.grid[{d}]", "i", False
-        raise self.unsup(f"member access .{e.name}")
+        code = self._dim_register(e)
+        if code is None:
+            raise self.unsup(f"member access .{e.name}")
+        if e.base.name != "threadIdx":
+            return code, "i", False
+        code = f"env.lid{_XYZ[e.name]}"
+        if not self.full:
+            code = f"{code}[{self.actA}]"
+        return code, "i", True
 
-    def co(self, code: str, t: T.Type, k: str, vary: bool) -> str:
+    def co(self, code: str, t: T.Type, k: str, vary: bool = False) -> str:
         if not (isinstance(t, T.ScalarType) and t.name != "void"):
             raise self.unsup(f"coercion to {t!r}")
         if not vary:
-            if k in "if":
-                if t.floating:
-                    if t.size == 4:
-                        return f"_f32({code})"
-                    if t.size == 2:
-                        return f"_f16({code})"
-                    return f"float({code})"
-                if k == "f":
-                    code = f"int({code})"
-                return self.vintwrap(code, t, False)
-            return f"_co({code}, _T_{t.name})"
+            return super().co(code, t, k)
         if k not in "if":
             raise self.unsup("varying coercion from unknown kind")
         if t.floating:
@@ -1230,7 +1113,7 @@ class _VecFnCodegen:
             return f"_vfl({code})" if k == "i" else code
         if k == "f":
             code = f"_vix({code})"
-        return self.vintwrap(code, t, True)
+        return self.intwrap(code, t, True)
 
     def cast(self, e: A.Cast, cnt: List[int]) -> Tuple[str, str, bool]:
         t = e.type
@@ -1242,14 +1125,10 @@ class _VecFnCodegen:
         return self.co(code, t, k, vary), _kind_of(t), vary
 
     def sizeof(self, e: A.SizeOf) -> Tuple[str, str, bool]:
-        if e.type is not None:
-            if e.type.size is None:
-                raise self.unsup("sizeof incomplete type")
-            return str(e.type.size), "i", False
-        ct = e.expr.ctype if isinstance(e.expr, A.Expr) else None
-        if ct is not None and ct.size:
-            return str(ct.size), "i", False
-        raise self.unsup("sizeof on unsized expression")
+        size = self._static_size(e)
+        if size is None:
+            raise self.unsup("sizeof on unsized expression")
+        return size, "i", False
 
     def call(self, e: A.Call, cnt: List[int]) -> Tuple[str, str, bool]:
         name = e.callee_name
@@ -1261,48 +1140,24 @@ class _VecFnCodegen:
             raise self.unsup(f"warp primitive {name!r}")
         if name in self.u.fns:
             raise self.unsup(f"call to user function {name!r}")
-        if (self.u.dialect_name == "opencl" and name in _OPENCL_IDS
+        attr = {"get_global_id": "gid", "get_local_id": "lid"}.get(name)
+        if (attr is not None and self.u.dialect_name == "opencl"
                 and len(e.args) == 1):
             arg = e.args[0]
-            attr = {"get_global_id": "gid", "get_local_id": "lid"}.get(name)
-            if attr is not None:
-                if isinstance(arg, A.IntLit) and arg.value in (0, 1, 2):
-                    code = f"env.{attr}{arg.value}"
-                else:
-                    d, dk, dv = self.expr(arg, cnt)
-                    if dv:
-                        raise self.unsup("varying dimension argument")
-                    if dk != "i":
-                        d = f"int({d})"
-                    code = (f"(env.{attr}0, env.{attr}1, "
-                            f"env.{attr}2)[{d}]")
-                if not self.full:
-                    code = f"{code}[{self.actA}]"
-                return code, "i", True
-            d, dk, dv = self.expr(arg, cnt)
-            if dv:
-                raise self.unsup("varying dimension argument")
-            if dk != "i":
-                d = f"int({d})"
-            return f"{_OPENCL_IDS[name]}[{d}]", "i", False
-        if (self.u.dialect_name == "opencl"
-                and name == "get_global_size" and len(e.args) == 1):
-            d, dk, dv = self.expr(e.args[0], cnt)
-            if dv:
-                raise self.unsup("varying dimension argument")
-            if not isinstance(e.args[0], A.IntLit):
-                return f"env.global_size(int({d}))", "i", False
-            if dk != "i":
-                d = f"int({d})"
-            return (f"(env.launch.grid[{d}] * env.launch.block[{d}])",
-                    "i", False)
-        if (self.u.dialect_name == "opencl"
-                and name == "get_work_dim" and not e.args):
-            return "env.launch.work_dim", "i", False
-        if (self.u.dialect_name == "opencl"
-                and name == "get_global_offset" and len(e.args) == 1):
-            d, _dk, _dv = self.expr(e.args[0], cnt)
-            return f"({d}, 0)[1]", "i", False
+            if isinstance(arg, A.IntLit) and arg.value in (0, 1, 2):
+                code = f"env.{attr}{arg.value}"
+            else:
+                d, dk = self.uniform(arg, cnt, "varying dimension argument")
+                if dk != "i":
+                    d = f"int({d})"
+                code = (f"(env.{attr}0, env.{attr}1, "
+                        f"env.{attr}2)[{d}]")
+            if not self.full:
+                code = f"{code}[{self.actA}]"
+            return code, "i", True
+        query = self._work_item_query(e, cnt)
+        if query is not None:
+            return (*query, False)
         conv = resolve_conversion(name, self.u.dialect)
         if conv is not None:
             if len(e.args) != 1 or name.startswith("as_"):
@@ -1315,79 +1170,40 @@ class _VecFnCodegen:
 
     # -- statements ----------------------------------------------------------
 
-    def stmt(self, s: Optional[A.Node]) -> None:
-        if s is None:
-            return
-        kind = type(s)
-        if kind is A.Compound:
-            for st in s.stmts:
-                self.stmt(st)
-        elif kind is A.ExprStmt:
-            self.expr_stmt(s.expr)
-        elif kind is A.DeclStmt:
-            for d in s.decls:
-                self.decl(d)
-        elif kind is A.If:
-            self._if(s)
-        elif kind is A.For:
-            self._for(s)
-        elif kind is A.While:
-            self._while(s)
-        elif kind is A.Return:
-            self._return(s)
-        elif kind is A.Break:
-            self._break()
-        elif kind is A.Continue:
-            self._continue()
-        else:
-            raise self.unsup(f"cannot vectorize {kind.__name__} statement")
-
-    def _block(self, emit) -> None:
-        mark = len(self.lines)
-        self.ind += 1
-        emit()
-        if len(self.lines) == mark:
-            self.w("pass")
-        self.ind -= 1
-
     def expr_stmt(self, e: A.Node) -> None:
         cnt: List[int] = [0, 0]
-        if isinstance(e, A.Call) and e.callee_name is not None:
-            name = e.callee_name
-            if name in self.u.barrier_names:
-                if self.mask_depth:
-                    raise self.unsup("barrier under a divergent mask")
-                args = [self.expr(a, cnt)[0] for a in e.args]
-                self.flush(cnt)
-                for a in args:
-                    self.w(a)
-                if self.guarded:
-                    self.w("if __R:")
-                    self.ind += 1
-                    self.w("raise _vdiverge(env)")
-                    self.ind -= 1
-                self.w("yield _B")
-                return
-        if isinstance(e, A.Assign):
-            mark = len(self.lines)
-            self.assign_stmt(e, cnt)
-            self.flush_at(cnt, mark)
+        if (isinstance(e, A.Call)
+                and e.callee_name in self.u.barrier_names):
+            if self.mask_depth:
+                raise self.unsup("barrier under a divergent mask")
+            args = [self.expr(a, cnt)[0] for a in e.args]
+            self.flush(cnt)
+            for a in args:
+                self.w(a)
+            if self.guarded:
+                self.w("if __R:")
+                self.ind += 1
+                self.w("raise _vdiverge(env)")
+                self.ind -= 1
+            self.w("yield _B")
             return
-        if isinstance(e, A.UnOp) and e.op in ("++", "--"):
-            mark = len(self.lines)
-            self.incdec_stmt(e, cnt)
-            self.flush_at(cnt, mark)
-            return
-        code, _k, _v = self.expr(e, cnt)
-        self.flush(cnt)
-        self.w(code)
+        self._plain_stmt(e, cnt)
 
-    def _apply_vec(self, op: str, cur: str, rhs: str, tk: str,
-                   rk: str) -> Tuple[str, str]:
-        """Varying compound-assign apply step (uncounted, like the scalar
-        tier's ``_apply_code``)."""
+    def _step(self, e: A.Node) -> None:
+        # a for step runs in statement form, over the active lanes
+        self._plain_stmt(e, [0, 0])
+
+    def _other_stmt(self, s: A.Node) -> None:
+        raise self.unsup(f"cannot vectorize {type(s).__name__} statement")
+
+    def _apply(self, op: str, cur: str, rhs: str, tk: str, rk: str,
+               vary: bool) -> Tuple[str, str]:
+        """Compound-assign apply step (uncounted): the scalar tier's text
+        on a uniform register, lane-wise on a varying one."""
         if tk not in "if" or rk not in "if":
             raise self.unsup(f"compound {op}= on kinds {tk}{rk}")
+        if not vary:
+            return self._apply_code(op, cur, rhs, tk, rk)
         flop = "f" in (tk, rk)
         if op in ("+", "-", "*"):
             return f"({cur} {op} {rhs})", ("f" if flop else "i")
@@ -1405,6 +1221,15 @@ class _VecFnCodegen:
             return f"({a} {op} {b})", "i"
         raise self.unsup(f"compound operator {op}=")
 
+    def _set_varying(self, name: str, val: str, k: str) -> None:
+        """Store ``val`` into the active lanes of varying register
+        ``name``."""
+        if self.full:
+            dref = "_f8" if k == "f" else "_i8"
+            self.w(f"V_{name} = _own({val}, __n0, {dref})")
+        else:
+            self.w(f"V_{name}[{self.actA}] = {val}")
+
     def assign_stmt(self, e: A.Assign, cnt: List[int]) -> None:
         t = e.target
         op = e.op
@@ -1417,44 +1242,22 @@ class _VecFnCodegen:
                 raise self.unsup(f"assignment to non-scalar {t.name!r}")
             tk = _kind_of(dt)
             name = t.name
-            v = f"V_{name}"
-            if not self.vary.get(name):
-                # uniform register: the scalar tier's exact statement
-                rhs, rk, rv = self.expr(e.value, cnt)
-                if rv:
-                    raise self.unsup(
-                        f"varying write to uniform register {name!r}")
-                if not op:
-                    self.w(f"{v} = {self.co(rhs, dt, rk, False)}")
-                    return
+            vary = self.vary.get(name)
+            rhs, rk, rv = self.expr(e.value, cnt)
+            if rv and not vary:
+                raise self.unsup(f"varying write to uniform register {name!r}")
+            if op:
                 tmp = self.tmp()
                 self.w(f"{tmp} = {rhs}")
-                applied, ak = self._apply_uni(op, v, tmp, tk, rk)
-                self.w(f"{v} = {self.co(applied, dt, ak, False)}")
-                return
-            # varying register
-            dref = "_f8" if tk == "f" else "_i8"
-            rhs, rk, rv = self.expr(e.value, cnt)
-            if not op:
-                val = self.co(rhs, dt, rk, rv)
-                if self.full:
-                    self.w(f"{v} = _own({val}, __n0, {dref})")
-                else:
-                    self.w(f"{v}[{self.actA}] = {val}")
-                return
-            tmp = self.tmp()
-            self.w(f"{tmp} = {rhs}")
-            cur = self.rread(name)
-            if rv:
-                applied, ak = self._apply_vec(op, cur, tmp, tk, rk)
+                # on a varying target a uniform rhs broadcasts
+                rhs, rk = self._apply(op, self.rread(name) if vary
+                                      else f"V_{name}", tmp, tk, rk, vary)
+                rv = vary
+            if vary:
+                self._set_varying(name, self.co(rhs, dt, rk, rv), tk)
             else:
-                # varying target, uniform rhs: the apply broadcasts
-                applied, ak = self._apply_vec(op, cur, tmp, tk, rk)
-            val = self.co(applied, dt, ak, True)
-            if self.full:
-                self.w(f"{v} = _own({val}, __n0, {dref})")
-            else:
-                self.w(f"{v}[{self.actA}] = {val}")
+                # uniform register: the scalar tier's exact statement
+                self.w(f"V_{name} = {self.co(rhs, dt, rk)}")
             return
         if isinstance(t, A.Index):
             bt = t.base.ctype if isinstance(t.base, A.Expr) else None
@@ -1480,24 +1283,6 @@ class _VecFnCodegen:
             return
         raise self.unsup(f"assignment to {type(t).__name__} target")
 
-    def _apply_uni(self, op: str, cur: str, rhs: str, tk: str,
-                   rk: str) -> Tuple[str, str]:
-        """Uniform compound apply — the scalar tier's exact text."""
-        if tk not in "if" or rk not in "if":
-            raise self.unsup(f"compound {op}= on kinds {tk}{rk}")
-        flop = "f" in (tk, rk)
-        if op in ("+", "-", "*"):
-            return f"({cur} {op} {rhs})", ("f" if flop else "i")
-        if op == "/":
-            return f"_dv({cur}, {rhs})", ("f" if flop else "i")
-        if op == "%":
-            return f"_md({cur}, {rhs})", ("f" if flop else "i")
-        if op in ("<<", ">>", "&", "|", "^"):
-            a = f"int({cur})" if tk == "f" else cur
-            b = f"int({rhs})" if rk == "f" else rhs
-            return f"({a} {op} {b})", "i"
-        raise self.unsup(f"compound operator {op}=")
-
     def incdec_stmt(self, e: A.UnOp, cnt: List[int]) -> None:
         t = e.operand
         if not isinstance(t, A.Ident):
@@ -1510,21 +1295,14 @@ class _VecFnCodegen:
         if k not in "if":
             raise self.unsup("++/-- on this kind")
         name = t.name
-        v = f"V_{name}"
         sign = "+" if e.op == "++" else "-"
         if not self.vary.get(name):
-            if k == "i":
-                self.w(f"{v} = {self.vintwrap(f'{v} {sign} 1', dt, False)}")
-            else:
-                self.w(f"{v} = {self.co(f'({v} {sign} 1)', dt, 'f', False)}")
+            self._reg_incdec(e, f"V_{name}",
+                             lambda cur: self._stepped(cur, dt, k, sign), k,
+                             True)
             return
-        cur = self.rread(name)
-        val = self.co(f"({cur} {sign} 1)", dt, k, True)
-        if self.full:
-            dref = "_f8" if k == "f" else "_i8"
-            self.w(f"{v} = _own({val}, __n0, {dref})")
-        else:
-            self.w(f"{v}[{self.actA}] = {val}")
+        val = self.co(f"({self.rread(name)} {sign} 1)", dt, k, True)
+        self._set_varying(name, val, k)
 
     # -- control flow --------------------------------------------------------
 
@@ -1544,11 +1322,7 @@ class _VecFnCodegen:
         c, ck, cv = self.expr(s.cond, cnt)
         self.flush(cnt)
         if not cv:
-            self.w(f"if {self.truth(c, ck)}:")
-            self._block(lambda: self.stmt(s.then))
-            if s.orelse is not None:
-                self.w("else:")
-                self._block(lambda: self.stmt(s.orelse))
+            self._uniform_if(s, c, ck)
             return
         if self._is_guard_return(s):
             # leading `if (oob) return;` guard: narrow the active set for
@@ -1572,148 +1346,29 @@ class _VecFnCodegen:
             self.act = (na, nn)
             self.full = False
             return
-        # masked divergent if/else: each arm runs over its lane subset,
-        # skipped entirely when no lane takes it (no hooks, no counts)
+        # masked divergent if/else: each arm runs over its lane subset
         m = self.aux("m")
         self.w(f"{m} = _vmask({c}, {self.actn})")
-        outer = self.act
-        outer_full = self.full
-        ta = self.aux("a")
-        tn = self.aux("n")
-        self.w(f"{ta} = {outer[0]}[{m}]")
-        self.w(f"{tn} = len({ta})")
-        self.w(f"if {tn}:")
-        self.act = (ta, tn)
+        self._masked_arm(m, s.then)
+        if s.orelse is not None:
+            self._masked_arm(f"~{m}", s.orelse)
+
+    def _masked_arm(self, sel: str, body: A.Node) -> None:
+        """Run ``body`` over the active lanes mask ``sel`` keeps, skipped
+        entirely when it keeps none (no hooks, no counts)."""
+        outer, outer_full = self.act, self.full
+        a = self.aux("a")
+        n = self.aux("n")
+        self.w(f"{a} = {outer[0]}[{sel}]")
+        self.w(f"{n} = len({a})")
+        self.w(f"if {n}:")
+        self.act = (a, n)
         self.full = False
         self.mask_depth += 1
-        self._block(lambda: self.stmt(s.then))
+        self._block(lambda: self.stmt(body))
         self.mask_depth -= 1
         self.act = outer
         self.full = outer_full
-        if s.orelse is not None:
-            ea = self.aux("a")
-            en = self.aux("n")
-            self.w(f"{ea} = {outer[0]}[~{m}]")
-            self.w(f"{en} = len({ea})")
-            self.w(f"if {en}:")
-            self.act = (ea, en)
-            self.full = False
-            self.mask_depth += 1
-            self._block(lambda: self.stmt(s.orelse))
-            self.mask_depth -= 1
-            self.act = outer
-            self.full = outer_full
-
-    def _budget_lines(self) -> None:
-        self.uses_steps = True
-        self.w("__steps += 1")
-        self.w(f"if __steps > {_MAX_LOOP_ITERS}:")
-        self.ind += 1
-        self.w("_budget()")
-        self.ind -= 1
-
-    def _loop_cond_break(self, cond: A.Node) -> None:
-        cnt: List[int] = [0, 0]
-        c, ck, cv = self.expr(cond, cnt)
-        if cv:
-            raise self.unsup("varying loop condition")
-        self.flush(cnt)
-        self.w(f"if not {self.truth(c, ck)}:")
-        self.ind += 1
-        self.w("break")
-        self.ind -= 1
-
-    def _loop_body(self, body: Optional[A.Node], need_wrap: bool,
-                   has_break: bool) -> Optional[str]:
-        if not need_wrap:
-            self.ctx.append(("native", None, self.mask_depth))
-            mark = len(self.lines)
-            self.loop_depth += 1
-            self.stmt(body)
-            self.loop_depth -= 1
-            if len(self.lines) == mark:
-                self.w("pass")
-            self.ctx.pop()
-            return None
-        flag = self.aux("b") if has_break else None
-        if flag is not None:
-            self.w(f"{flag} = 0")
-        xv = self.aux("x")
-        self.w(f"for {xv} in _ONE:")
-        self.ctx.append(("wrap", flag, self.mask_depth))
-        self.loop_depth += 1
-        self._block(lambda: self.stmt(body))
-        self.loop_depth -= 1
-        self.ctx.pop()
-        return flag
-
-    def _while(self, s: A.While) -> None:
-        self.w("while 1:")
-        self.ind += 1
-        self._budget_lines()
-        self._loop_cond_break(s.cond)
-        self.ctx.append(("native", None, self.mask_depth))
-        mark = len(self.lines)
-        self.loop_depth += 1
-        self.stmt(s.body)
-        self.loop_depth -= 1
-        if len(self.lines) == mark:
-            self.w("pass")
-        self.ctx.pop()
-        self.ind -= 1
-
-    def _for(self, s: A.For) -> None:
-        self.stmt(s.init)
-        has_b, has_c = _scan_signals(s.body)
-        self.w("while 1:")
-        self.ind += 1
-        self._budget_lines()
-        if s.cond is not None:
-            self._loop_cond_break(s.cond)
-        flag = self._loop_body(s.body, need_wrap=has_c, has_break=has_b)
-        if flag is not None:
-            self.w(f"if {flag}:")
-            self.ind += 1
-            self.w("break")
-            self.ind -= 1
-        if s.step is not None:
-            cnt: List[int] = [0, 0]
-            if isinstance(s.step, A.Assign):
-                mark = len(self.lines)
-                self.assign_stmt(s.step, cnt)
-                self.flush_at(cnt, mark)
-            elif isinstance(s.step, A.UnOp) and s.step.op in ("++", "--"):
-                mark = len(self.lines)
-                self.incdec_stmt(s.step, cnt)
-                self.flush_at(cnt, mark)
-            else:
-                code, _k, _v = self.expr(s.step, cnt)
-                self.flush(cnt)
-                self.w(code)
-        self.ind -= 1
-
-    def _break(self) -> None:
-        if not self.ctx:
-            raise self.unsup("break outside loop")
-        kind, flag, depth = self.ctx[-1]
-        if depth != self.mask_depth:
-            raise self.unsup("break under a divergent mask")
-        if kind == "wrap":
-            if flag is None:
-                raise self.unsup("break in wrapped loop without flag")
-            self.w(f"{flag} = 1")
-        self.w("break")
-
-    def _continue(self) -> None:
-        if not self.ctx:
-            raise self.unsup("continue outside loop")
-        kind, _flag, depth = self.ctx[-1]
-        if depth != self.mask_depth:
-            raise self.unsup("continue under a divergent mask")
-        if kind == "native":
-            self.w("continue")
-        else:
-            self.w("break")
 
     def _return(self, s: A.Return) -> None:
         if s.value is not None:
@@ -1725,24 +1380,12 @@ class _VecFnCodegen:
     # -- declarations --------------------------------------------------------
 
     def decl(self, d: A.VarDecl) -> None:
+        if d.space == T.AddressSpace.LOCAL:
+            self._decl_local(d)
+            return
         name = d.name
         rec = self.names[name]
         t = d.type
-        if d.space == T.AddressSpace.LOCAL:
-            if "extern" in d.quals:
-                elem = t.elem if isinstance(t, T.ArrayType) else t
-                self.w(f"M_{name} = env.dynamic_shared_slot("
-                       f"{self.u.type_ref(elem)})")
-            else:
-                key = f"{self.fn.name}.{name}"
-                self.w(f"M_{name} = env.local_static_slot({key!r}, "
-                       f"{self.u.type_ref(t)})")
-            if isinstance(t, T.ArrayType) or "extern" in d.quals:
-                elem = t.elem if isinstance(t, T.ArrayType) else t
-                self.w(f"Md_{name} = _Ptr(M_{name}.mem, M_{name}.off, "
-                       f"{self.u.type_ref(elem)})")
-                self.arrays.add(name)
-            return
         if rec[0] == "mem":
             raise self.unsup(f"private memory variable {name!r}")
         if not (isinstance(t, T.ScalarType) and _kind_of(t) in "if"
@@ -1771,12 +1414,9 @@ class _VecFnCodegen:
         cnt = [0, 0]
         code, rk, rv = self.expr(d.init, cnt)
         self.flush(cnt)
-        val = self.co(code, t, rk, rv)
-        if self.full:
-            self.w(f"{v} = _own({val}, __n0, {dref})")
-        else:
+        if not self.full:
             self.w(f"{v} = _np.zeros(__n0, {dref})")
-            self.w(f"{v}[{self.actA}] = {val}")
+        self._set_varying(name, self.co(code, t, rk, rv), k)
 
     # -- function assembly ---------------------------------------------------
 
@@ -1797,28 +1437,11 @@ class _VecFnCodegen:
                 # pointers/opaques arrive pre-coerced from the launch path
                 self.w(f"V_{p.name} = a{i}")
         self.stmt(fn.body)
-        body = self.lines
-        self.lines = []
-        self.ind = 0
-        argv = ", ".join(["env"] + [f"a{i}" for i in range(len(fn.params))])
-        self.w(f"def _W_{fn.name}({argv}):")
-        self.ind = 1
-        self.w("if False:")
-        self.ind += 1
-        self.w("yield")
-        self.ind -= 1
-        if self.uses_counts:
-            self.w("__C = env.launch.counters")
-        if self.uses_steps:
-            self.w("__steps = 0")
+        body = self._header("_W_")
         self.w("__n0 = env.n")
         self.w("__I0 = _np.arange(__n0)")
         if self.guarded:
             self.w("__R = 0")
         self.w("with _np.errstate(all='ignore'):")
-        out = [("    " * ind + text) for ind, text in self.lines]
-        if not body:
-            body = [(2, "pass")]
-        for ind, text in body:
-            out.append("    " * ind + text)
-        return "\n".join(out)
+        return "\n".join("    " * ind + text for ind, text
+                         in self.lines + (body or [(2, "pass")]))

@@ -27,6 +27,7 @@ from ..clike import types as T
 from ..clike.dialect import get_dialect
 from ..clike.interp import WARP_OP_KINDS, ExecEnv, Interp, Stack
 from ..clike.sema import annotate_unit
+from ..clike.stdlib import NAMED_CONSTANTS
 from ..errors import DeviceError, InterpError
 from ..observability import get_metrics, get_tracer
 from ..runtime.memory import Memory
@@ -532,36 +533,8 @@ class WorkItemEnv(ExecEnv):
                 return self.launch.device.spec.warp_size
         raise KeyError(name)
 
-    _CLK_CONSTANTS = {
-        "CLK_LOCAL_MEM_FENCE": 1, "CLK_GLOBAL_MEM_FENCE": 2,
-        "CLK_NORMALIZED_COORDS_FALSE": 0x00,
-        "CLK_NORMALIZED_COORDS_TRUE": 0x01,
-        "CLK_ADDRESS_NONE": 0x00, "CLK_ADDRESS_CLAMP_TO_EDGE": 0x02,
-        "CLK_ADDRESS_CLAMP": 0x04, "CLK_ADDRESS_REPEAT": 0x06,
-        "CLK_FILTER_NEAREST": 0x10, "CLK_FILTER_LINEAR": 0x20,
-    }
-
     def constant(self, name: str) -> Any:
-        if name in self._CLK_CONSTANTS:
-            return self._CLK_CONSTANTS[name]
-        if name in ("CUDART_INF_F", "INFINITY", "HUGE_VALF"):
-            return float("inf")
-        if name == "NAN":
-            return float("nan")
-        if name in ("M_PI", "M_PI_F", "CUDART_PI_F"):
-            import math
-            return math.pi
-        if name in ("FLT_MAX", "MAXFLOAT"):
-            return 3.4028234663852886e38
-        if name == "FLT_MIN":
-            return 1.1754943508222875e-38
-        if name == "FLT_EPSILON":
-            return 1.1920929e-07
-        if name == "INT_MAX":
-            return 2**31 - 1
-        if name == "NULL":
-            return 0
-        raise KeyError(name)
+        return NAMED_CONSTANTS[name]
 
     def is_barrier(self, name: str) -> bool:
         return name in BARRIER_NAMES[self.launch.kernel.module.dialect]

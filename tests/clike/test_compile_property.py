@@ -1,12 +1,14 @@
-"""Seeded property tests: generated kernels, interp ≡ compiled.
+"""Seeded property tests: generated kernels, interp ≡ compiled ≡ vector.
 
 Each seed deterministically generates a small OpenCL kernel from a pool of
 statement templates covering the constructs the compile tier must lower
 faithfully: barriers with local memory, divergent branches, loops, and
 integer/float arithmetic (including C division/modulo and shift-width
-wrapping).  The kernel runs under both execution tiers on fresh devices and
+wrapping).  The kernel runs under the execution tiers on fresh devices and
 the suite asserts byte-identical output buffers, identical performance
-counters, and bit-for-bit identical modeled kernel time.
+counters, and bit-for-bit identical modeled kernel time.  Typed seeds run
+the same checks with the working local of every integer type, and the
+named constants are pinned on every tier.
 
 A second group checks the ``compiled`` tier's contract: unsupported
 constructs fall back to the interpreter per kernel, with the demotion
@@ -20,6 +22,7 @@ import pytest
 
 from repro.clike import parse
 from repro.clike import types as T
+from repro.clike.stdlib import NAMED_CONSTANTS
 from repro.device.engine import (Device, LocalArg, launch_kernel, load_module)
 from repro.device.specs import GTX_TITAN
 from repro.observability import get_metrics
@@ -159,6 +162,111 @@ def test_generated_kernel_identical_vector(seed):
     assert r3.time.total == r1.time.total
     assert r3.time == r1.time
     assert r3.occupancy == r1.occupancy
+
+
+# ---------------------------------------------------------------------------
+# typed seeds: the working local over every integer type
+# ---------------------------------------------------------------------------
+
+#: working-local type -> the rung its kernels run on under ``vector``: the
+#: warp emitter holds integer lanes in int64, so unsigned 64-bit registers
+#: stay on the scalar compiled tier
+TYPED_RUNGS = {"char": "vector", "uchar": "vector", "short": "vector",
+               "ushort": "vector", "int": "vector", "uint": "vector",
+               "long": "vector", "ulong": "compiled", "size_t": "compiled"}
+
+_WRAP_CONSTANTS = (255, 65535, 2147483647, 4294967295)
+
+
+def _gen_typed_statements(rng: random.Random, ty: str):
+    """Random statements over the varying local w and the uniform local u
+    (both of type ``ty``) and the float f."""
+    stmts = []
+    for _ in range(rng.randint(4, 7)):
+        kind = rng.randint(0, 6)
+        c = rng.choice(_WRAP_CONSTANTS)
+        if kind == 0:                                   # wrap-around
+            op = rng.choice(["+", "-", "*", "^", "&", "|"])
+            stmts.append(f"w = w {op} ({ty}){c};")
+        elif kind == 1:                                 # / and %
+            op = rng.choice(["/", "%"])
+            stmts.append(f"w {op}= ({ty}){rng.randint(1, 9)};")
+        elif kind == 2:                                 # shifts
+            s = rng.randint(0, 7)
+            stmts.append(f"w = (w << {s}) ^ (w >> {s + 1});")
+        elif kind == 3:                                 # compares with gid
+            stmts.append(f"if (w > ({ty})gid) w = w - ({ty})gid; "
+                         f"else w = w + ({ty}){c};")
+        elif kind == 4:
+            stmts.append(f"w = (w < ({ty})gid) ? w * ({ty})3 : "
+                         f"w / ({ty})2;")
+        elif kind == 5:                                 # int <-> float
+            stmts.append(f"f = f * 0.5f + (float)w; "
+                         f"w = ({ty})(f * 0.25f) + w;")
+        else:                                           # uniform compound
+            op = rng.choice(["+", "*", "<<", "%", "^"])
+            k = rng.randint(0, 5) if op == "<<" else rng.choice((c, 3))
+            stmts.append(f"u {op}= ({ty}){k}; w = w + u;")
+    return stmts
+
+
+def gen_typed_kernel(ty: str, seed: int) -> str:
+    rng = random.Random(f"{ty}/{seed}")
+    body = "\n  ".join(_gen_typed_statements(rng, ty))
+    return f"""
+__kernel void typed(__global const int* iin, __global int* iout,
+                    __global long* lout, __global float* fout, int n) {{
+  int gid = get_global_id(0);
+  if (gid >= n) return;
+  {ty} w = ({ty})iin[gid];
+  {ty} u = ({ty})n;
+  float f = (float)(iin[gid] % 7) * 0.5f;
+  {body}
+  iout[gid] = (int)w;
+  lout[gid] = (long)w;
+  fout[gid] = f;
+}}
+"""
+
+
+def _run_typed(src: str, tier: str):
+    dev = Device(GTX_TITAN)
+    mod = load_module(dev, parse(src, "opencl"), "opencl", exec_tier=tier)
+    iin = np.random.default_rng(7).integers(-1000, 1000, N).astype(np.int32)
+    p_in = _upload(dev, iin)
+    outs = [(dev.alloc_global(sz * N), t, sz)
+            for t, sz in ((T.INT, 4), (T.LONG, 8), (T.FLOAT, 4))]
+    res = launch_kernel(dev, mod.get_kernel("typed"), [GROUPS], [BLOCK],
+                        [p_in.retype(T.INT)]
+                        + [p.retype(t) for p, t, _ in outs] + [N])
+    data = b"".join(bytes(dev.global_mem.view(p.off, sz * N))
+                    for p, _, sz in outs)
+    return data, res, mod
+
+
+@pytest.mark.parametrize("ty,seed", [(ty, s) for ty in TYPED_RUNGS
+                                     for s in (0, 1)])
+def test_typed_kernel_identical_all_tiers(ty, seed):
+    """Integer wrap-around, C division and shifts, compares with ``gid``
+    and int <-> float conversions through a working local of each integer
+    type: byte-identical buffers, counters and modeled time on all three
+    tiers, each kernel on its pinned rung."""
+    src = gen_typed_kernel(ty, seed)
+    d1, r1, _ = _run_typed(src, "interp")
+    d2, r2, m2 = _run_typed(src, "compiled")
+    d3, r3, m3 = _run_typed(src, "vector")
+    assert "typed" in m2.compiled_entries, m2.compile_fallbacks
+    if TYPED_RUNGS[ty] == "vector":
+        assert "typed" in m3.vector_entries, m3.vector_fallbacks
+    else:
+        assert "typed" in m3.compiled_entries
+        assert "register type" in m3.vector_fallbacks["typed"]
+    assert d2 == d1
+    assert d3 == d1
+    assert r2.counters == r1.counters
+    assert r3.counters == r1.counters
+    assert r2.time == r1.time
+    assert r3.time == r1.time
 
 
 # ---------------------------------------------------------------------------
@@ -551,3 +659,83 @@ def test_vload_vstore_need_scalar_pointee(tier, kernel, builtin):
     with pytest.raises(InterpError,
                        match=rf"{builtin} through a pointer to float4"):
         launch_kernel(dev, mod.get_kernel(kernel), [1], [1], args)
+
+
+# ---------------------------------------------------------------------------
+# named constants (CLK_* flags, float limits, pi, ...) read as identifiers
+# ---------------------------------------------------------------------------
+
+_NAMED_KERNEL = {"opencl": """
+__kernel void named(__global double* out, int n) {
+  int gid = get_global_id(0);
+  if (gid >= n) return;
+  out[2 * gid] = NAME;
+  out[2 * gid + 1] = NAME * 2 + gid;
+}
+""", "cuda": """
+__global__ void named(double* out, int n) {
+  int gid = blockIdx.x * blockDim.x + threadIdx.x;
+  if (gid >= n) return;
+  out[2 * gid] = NAME;
+  out[2 * gid + 1] = NAME * 2 + gid;
+}
+"""}
+
+#: C's values (the float constants as binary32), as the ``repr`` of the
+#: double a kernel stores and ``%.17g`` prints on the host
+_C_VALUES = {
+    "FLT_EPSILON": "1.1920928955078125e-07",
+    "FLT_MIN": "1.1754943508222875e-38",
+    "FLT_MAX": "3.4028234663852886e+38",
+    "M_PI_F": "3.1415927410125732",
+    "CUDART_PI_F": "3.1415927410125732",
+    "M_PI": "3.141592653589793",
+}
+
+
+def _run_named(name, dialect, tier):
+    dev = Device(GTX_TITAN)
+    src = _NAMED_KERNEL[dialect].replace("NAME", name)
+    mod = load_module(dev, parse(src, dialect), dialect, exec_tier=tier)
+    p = dev.alloc_global(16 * N)
+    res = launch_kernel(dev, mod.get_kernel("named"), [GROUPS], [BLOCK],
+                        [p.retype(T.DOUBLE), N])
+    return bytes(dev.global_mem.view(p.off, 16 * N)), res, mod
+
+
+@pytest.mark.parametrize("dialect", ["opencl", "cuda"])
+@pytest.mark.parametrize("name", sorted(NAMED_CONSTANTS))
+def test_named_constant_identical_all_tiers(name, dialect):
+    """Every named constant, stored as read and used in arithmetic with
+    a varying value: byte-identical on all three tiers, on the vector
+    rung, and C's value where the test pins one."""
+    ref, r1, _ = _run_named(name, dialect, "interp")
+    for tier in ("compiled", "vector"):
+        got, r, mod = _run_named(name, dialect, tier)
+        assert got == ref, tier
+        assert r.counters == r1.counters
+        assert r.time == r1.time
+    assert "named" in mod.vector_entries, mod.vector_fallbacks
+    if name in _C_VALUES:
+        assert repr(float(np.frombuffer(ref, np.float64)[0])) == \
+            _C_VALUES[name]
+
+
+_HOST_LIMITS = r"""
+int main(void) {
+  printf("%.17g %.17g %.17g\n", (double)FLT_EPSILON, (double)FLT_MIN,
+         (double)FLT_MAX);
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("tier", ["interp", "compiled", "vector"])
+def test_host_float_limits_hold_c_values(tier):
+    """The host library's float limits are the device's: C's binary32
+    values, tree-walked and lowered alike."""
+    from repro.harness import run_opencl_app
+    res = run_opencl_app("limits", _HOST_LIMITS, "", exec_tier=tier)
+    assert "host_fallback" not in res.extra
+    assert res.stdout == " ".join(
+        _C_VALUES[n] for n in ("FLT_EPSILON", "FLT_MIN", "FLT_MAX")) + "\n"
