@@ -77,7 +77,7 @@ def bench_per_pass_timings(benchmark):
         print(render_pass_stats(agg, title=f"corpus per-pass timing"))
     # every registered pass of both directions shows up in the aggregate
     names_c2o = [p.name for p in stats["cuda2ocl-program"].passes]
-    assert names_c2o[:2] == ["translatability-check", "parse"]
+    assert names_c2o[:2] == ["translatability-check", "annotate"]
     assert {"symbol-scan", "builtin-rename", "kernel-params",
             "emit-opencl", "host-rewrite", "emit-host"} <= set(names_c2o)
     names_o2c = [p.name for p in stats["ocl2cuda-program"].passes]

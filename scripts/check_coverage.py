@@ -14,10 +14,13 @@ Two rules, checked against ``benchmarks/COVERAGE_baseline.json``:
    generators behind the generated execution tiers, whose uncovered
    branches are exactly where a tier divergence would hide —
    ``repro.device.sched``, the warp-scheduler execution core every
-   tier drives through, and ``repro.debug.session``, the debugger
+   tier drives through, ``repro.debug.session``, the debugger
    drive loop whose uncovered branches are exactly where a stop would
-   perturb the run) must each stay within ``tolerance`` points of
-   their recorded per-module coverage.
+   perturb the run, and ``repro.clike.lexer``, the front end every
+   run, translation and service request starts in, whose error
+   branches are where a crash instead of a located ``LexError`` would
+   hide) must each stay within ``tolerance`` points of their recorded
+   per-module coverage.
 
 Backends, in order of preference:
 
@@ -61,6 +64,7 @@ TOLERANCE = 2.0
 #: modules with an individual coverage floor (rule 3), as repo-relative
 #: paths; enforced under the coverage.py backend only
 MODULE_FLOOR_FILES = ("src/repro/clike/compile.py",
+                      "src/repro/clike/lexer.py",
                       "src/repro/clike/vectorize.py",
                       "src/repro/device/sched.py",
                       "src/repro/debug/session.py")

@@ -1,20 +1,25 @@
 """Lexer for the C-like dialects.
 
 Produces a flat token stream.  A miniature preprocessor runs first: it strips
-``#include``/``#pragma`` lines, applies object-like ``#define`` substitutions
-and understands ``#ifdef/#ifndef/#else/#endif`` over macros defined in the
-same file or passed as build options (``-D`` handling mirrors
-``clBuildProgram`` options, which several corpus apps use).
+comments with one substitution, strips ``#include``/``#pragma`` lines,
+applies object-like ``#define`` substitutions and understands
+``#ifdef/#ifndef/#else/#endif`` over macros defined in the same file or
+passed as build options (``-D`` handling mirrors ``clBuildProgram`` options,
+which several corpus apps use).
 
-The CUDA dialect lexes ``<<<`` and ``>>>`` as single tokens (kernel launch
-delimiters); other dialects never see them.
+Tokenizing is one compiled regex per dialect, an alternation of named groups
+tried in order: newline, blanks, identifier, float, int, string, char, and
+punctuation longest-first.  The CUDA dialect's regex also lexes ``<<<`` and
+``>>>`` as single tokens (kernel launch delimiters); other dialects never
+see them.  A character no alternative matches raises a located
+:class:`~repro.errors.LexError`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import LexError
 
@@ -41,7 +46,6 @@ _PUNCTS = [
     "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~",
     "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
 ]
-_CUDA_PUNCTS = ["<<<", ">>>"] + _PUNCTS
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _FLOAT_RE = re.compile(
@@ -50,6 +54,31 @@ _FLOAT_RE = re.compile(
 _INT_RE = re.compile(r"(?:0[xX][0-9a-fA-F]+|0[bB][01]+|\d+)(?:[uU]?[lL]{0,2}|[lL]{1,2}[uU]?)")
 _STRING_RE = re.compile(r'"(?:\\.|[^"\\])*"')
 _CHAR_RE = re.compile(r"'(?:\\.|[^'\\])'")
+
+
+def _token_re(puncts: List[str]) -> re.Pattern[str]:
+    """One named group per token kind.  Blanks and identifiers are spelled
+    out, never ``\\s``/``\\w``, so Unicode spaces and letters stay unexpected."""
+    groups = [("nl", r"\n"), ("ws", r"[ \t\r\f\v]+"),
+              ("id", _ID_RE.pattern), ("float", _FLOAT_RE.pattern),
+              ("int", _INT_RE.pattern), ("string", _STRING_RE.pattern),
+              ("char", _CHAR_RE.pattern),
+              ("punct", "|".join(map(re.escape, puncts)))]
+    return re.compile("|".join(f"(?P<{k}>{p})" for k, p in groups))
+
+
+_TOKEN_RE = _token_re(_PUNCTS)
+_CUDA_TOKEN_RE = _token_re(["<<<", ">>>"] + _PUNCTS)
+
+#: the error for a quote that opens no literal
+_BAD_START = {'"': "unterminated string", "'": "bad character literal"}
+
+#: comments and the literals that may hold comment markers; a ``/*`` or
+#: ``"`` that opens neither matches the last two groups, and a lone ``'``
+#: (as in ``#error`` text) matches nothing and stays
+_COMMENT_RE = re.compile(
+    rf"(?P<line>//[^\n]*)|(?P<block>/\*[\s\S]*?\*/)|{_STRING_RE.pattern}"
+    rf"|{_CHAR_RE.pattern}|(?P<open_block>/\*)|(?P<open_string>\")")
 
 _DEFINE_RE = re.compile(r"^\s*#\s*define\s+([A-Za-z_][A-Za-z0-9_]*)\s*(.*?)\s*$")
 _DEFINE_FN_RE = re.compile(r"^\s*#\s*define\s+([A-Za-z_][A-Za-z0-9_]*)\(")
@@ -62,40 +91,23 @@ _ENDIF_RE = re.compile(r"^\s*#\s*endif\b")
 _SKIP_RE = re.compile(r"^\s*#\s*(include|pragma|line)\b")
 
 
+def _uncomment(m: re.Match[str]) -> str:
+    kind = m.lastgroup
+    if kind is None:  # a string or char literal stays as it is
+        return m.group()
+    if kind == "block":
+        return "\n" * m.group().count("\n")
+    if kind == "line":
+        return ""
+    src, pos = m.string, m.start()
+    what = "block comment" if kind == "open_block" else "string literal"
+    raise LexError(f"unterminated {what}", src.count("\n", 0, pos) + 1,
+                   pos - src.rfind("\n", 0, pos))
+
+
 def _strip_comments(src: str) -> str:
     """Remove // and /* */ comments, preserving newlines for line numbers."""
-    out: List[str] = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c == "/" and i + 1 < n and src[i + 1] == "/":
-            j = src.find("\n", i)
-            i = n if j < 0 else j
-        elif c == "/" and i + 1 < n and src[i + 1] == "*":
-            j = src.find("*/", i + 2)
-            if j < 0:
-                raise LexError("unterminated block comment")
-            out.append("\n" * src.count("\n", i, j + 2))
-            i = j + 2
-        elif c == '"':
-            m = _STRING_RE.match(src, i)
-            if not m:
-                raise LexError("unterminated string literal")
-            out.append(m.group(0))
-            i = m.end()
-        elif c == "'":
-            m = _CHAR_RE.match(src, i)
-            if not m:
-                # lone quote (e.g. in #error text) -- keep as-is
-                out.append(c)
-                i += 1
-            else:
-                out.append(m.group(0))
-                i = m.end()
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return _COMMENT_RE.sub(_uncomment, src)
 
 
 def preprocess(src: str, defines: Optional[Dict[str, str]] = None) -> str:
@@ -180,65 +192,28 @@ class Lexer:
     def __init__(self, src: str, cuda: bool = False,
                  defines: Optional[Dict[str, str]] = None) -> None:
         self.src = preprocess(src, defines)
-        self.puncts = _CUDA_PUNCTS if cuda else _PUNCTS
         self.tokens: List[Token] = []
-        self._lex()
+        self._lex(_CUDA_TOKEN_RE if cuda else _TOKEN_RE)
 
-    def _lex(self) -> None:
-        src = self.src
-        i, n = 0, len(src)
-        line, line_start = 1, 0
-        toks = self.tokens
-        while i < n:
-            c = src[i]
-            if c == "\n":
+    def _lex(self, token_re: re.Pattern[str]) -> None:
+        src, toks = self.src, self.tokens
+        line, line_start, pos = 1, 0, 0
+        for m in token_re.finditer(src):
+            start = m.start()
+            if start != pos:
+                break
+            pos = m.end()
+            kind = m.lastgroup
+            if kind == "nl":
                 line += 1
-                i += 1
-                line_start = i
-                continue
-            if c in " \t\r\f\v":
-                i += 1
-                continue
-            col = i - line_start + 1
-            if c.isalpha() or c == "_":
-                m = _ID_RE.match(src, i)
-                assert m is not None
-                toks.append(Token("id", m.group(0), line, col))
-                i = m.end()
-                continue
-            if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
-                m = _FLOAT_RE.match(src, i)
-                if m:
-                    toks.append(Token("float", m.group(0), line, col))
-                    i = m.end()
-                    continue
-                m = _INT_RE.match(src, i)
-                if m:
-                    toks.append(Token("int", m.group(0), line, col))
-                    i = m.end()
-                    continue
-                raise LexError(f"bad numeric literal at {src[i:i+12]!r}", line, col)
-            if c == '"':
-                m = _STRING_RE.match(src, i)
-                if not m:
-                    raise LexError("unterminated string", line, col)
-                toks.append(Token("string", m.group(0), line, col))
-                i = m.end()
-                continue
-            if c == "'":
-                m = _CHAR_RE.match(src, i)
-                if not m:
-                    raise LexError("bad character literal", line, col)
-                toks.append(Token("char", m.group(0), line, col))
-                i = m.end()
-                continue
-            for p in self.puncts:
-                if src.startswith(p, i):
-                    toks.append(Token("punct", p, line, col))
-                    i += len(p)
-                    break
-            else:
-                raise LexError(f"unexpected character {c!r}", line, col)
+                line_start = pos
+            elif kind != "ws":
+                toks.append(Token(kind, m.group(), line, start - line_start + 1))
+        if pos < len(src):
+            c = src[pos]
+            msg = (f"bad numeric literal at {src[pos:pos + 12]!r}" if c.isdigit()
+                   else _BAD_START.get(c, f"unexpected character {c!r}"))
+            raise LexError(msg, line, pos - line_start + 1)
         toks.append(Token("eof", "", line, 1))
 
 

@@ -80,6 +80,7 @@ _DTYPES: Dict[str, np.dtype] = {
 _R = {n: np.arange(n, dtype=np.int64) for n in (1, 2, 4, 8)}
 
 _INT64_MAX_F = 9.223372036854775e18
+_INT64_MIN = -(1 << 63)
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +380,24 @@ def _vdvf(a: Any, b: Any) -> Any:
 
 def _vdvi(a: Any, b: Any) -> Any:
     """Lane-wise integer C division: truncation toward zero, and the
-    interpreter's exact divide-by-zero raise."""
+    interpreter's exact divide-by-zero raise.  INT64_MIN / -1, whose
+    quotient 2**63 leaves int64, takes the exact object-dtype path."""
     if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
         return _c_div(a, b)
     aa = np.asarray(a)
     bb = np.asarray(b)
     if (bb == 0).any():
         raise InterpError("integer division by zero")
+    if ((aa == _INT64_MIN) & (bb == -1)).any():
+        n = max(aa.size, bb.size)
+        return np.array([_c_div(x, y) for x, y in zip(
+            np.broadcast_to(aa, (n,)).tolist(),
+            np.broadcast_to(bb, (n,)).tolist())], dtype=object)
     with np.errstate(all="ignore"):
-        q = np.abs(aa) // np.abs(bb)
-        return np.where((aa >= 0) == (bb >= 0), q, -q)
+        q = aa // bb
+        # floor division rounds down; truncation steps up where the
+        # division is inexact and the signs differ
+        return q + ((q * bb != aa) & ((aa < 0) != (bb < 0)))
 
 
 def _vmdf(a: Any, b: Any) -> Any:

@@ -249,14 +249,23 @@ def analyze_cuda_source(source: str,
                         spec: DeviceSpec = GTX_TITAN) -> List[Finding]:
     """All reasons ``source`` cannot be translated CUDA→OpenCL
     (empty list = translatable)."""
+    return _analyze_cuda(source, spec)[0]
+
+
+def _analyze_cuda(source: str, spec: DeviceSpec,
+                  defines: Optional[Dict[str, str]] = None
+                  ) -> Tuple[List[Finding], Optional[A.TranslationUnit]]:
+    """The findings, and the unit the parse-level scan read (``None``
+    when the prescan found a blocker or the source did not parse)."""
     findings = _lexical_findings(source)
+    unit = None
     if not findings:
         try:
-            unit = parse(source, "cuda")
+            unit = parse(source, "cuda", defines=defines)
         except FrontendError as e:
             findings.append(Finding(
                 CAT_LANG, "unparseable C++ construct", str(e),
-                line=getattr(e, "line", 0), col=getattr(e, "col", 0)))
+                line=e.line, col=e.col))
         else:
             findings.extend(_parse_findings(unit, spec))
     # deduplicate, preserving order
@@ -267,7 +276,7 @@ def analyze_cuda_source(source: str,
         if key not in seen:
             seen.add(key)
             out.append(f)
-    return out
+    return out, unit
 
 
 def check_cuda_translatable(source: str,

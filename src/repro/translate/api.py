@@ -30,14 +30,12 @@ from ..device.specs import GTX_TITAN, DeviceSpec
 from ..errors import TranslationNotSupported
 from ..observability import get_tracer
 from ..pipeline.cache import TranslationCache, cache_key
-from .analyzer import (Finding, analyze_cuda_source, analyze_opencl_source,
-                       check_cuda_translatable, check_opencl_translatable)
+from .analyzer import _analyze_cuda, analyze_opencl_source
 from .cuda2ocl.host import (Cuda2OclHostResult, find_runtime_init_symbols,
                             translate_host_unit)
 from .cuda2ocl.kernel import Cuda2OclDeviceResult, translate_device_unit
 from .ocl2cuda.kernel import Ocl2CudaResult, translate_kernel_unit
-from .passes import (ParsePass, Pass, PassContext, PassManager,
-                     PipelineStats)
+from .passes import Pass, PassContext, PassManager, PipelineStats
 
 __all__ = ["TranslatedCudaProgram", "translate_cuda_program",
            "translate_opencl_program", "CudaTranslatabilityCheckPass",
@@ -53,8 +51,8 @@ class TranslatedCudaProgram:
     host_unit: A.TranslationUnit
     device: Cuda2OclDeviceResult
     host: Cuda2OclHostResult
-    #: per-pass instrumentation across the whole pipeline (check + parse +
-    #: device + host)
+    #: per-pass instrumentation across the whole pipeline (the check,
+    #: which also parses, then device and host)
     pass_stats: Optional[PipelineStats] = None
 
     @property
@@ -69,14 +67,16 @@ class TranslatedCudaProgram:
 class CudaTranslatabilityCheckPass(Pass):
     """Run the Table-3 analysis (§3.7); every finding becomes a located,
     category-tagged diagnostic in the shared stream, and the first one
-    aborts the pipeline."""
+    aborts the pipeline.  This is the frontend too: the analysis parses
+    the source with the build defines, and a translatable program's unit
+    is left in ``ctx.unit`` for the rewrites."""
 
     name = "translatability-check"
     paper = "§3.7, Table 3"
 
     def run(self, ctx: PassContext) -> None:
         spec: DeviceSpec = ctx.state["spec"]
-        findings = analyze_cuda_source(ctx.source, spec)
+        findings, ctx.unit = _analyze_cuda(ctx.source, spec, ctx.defines)
         diags = [f.to_diagnostic(self.name) for f in findings]
         ctx.diagnostics.extend(diags)
         if findings:
@@ -144,10 +144,8 @@ def _translate_cuda_fresh(source: str, defines: Optional[Dict[str, str]],
                           spec: DeviceSpec) -> TranslatedCudaProgram:
     ctx = PassContext(source=source, dialect="cuda", defines=defines)
     ctx.state["spec"] = spec
-    frontend = PassManager("cuda2ocl-frontend", [
-        CudaTranslatabilityCheckPass(),
-        ParsePass(requires=("translatability-check",)),
-    ])
+    frontend = PassManager("cuda2ocl-frontend",
+                           [CudaTranslatabilityCheckPass()])
     frontend_stats = frontend.run(ctx)
     unit = ctx.unit
     runtime_syms = find_runtime_init_symbols(unit)

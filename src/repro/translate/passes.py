@@ -13,7 +13,7 @@ timing table next to the cache stats.
 The direction modules (:mod:`repro.translate.ocl2cuda.kernel`,
 :mod:`repro.translate.cuda2ocl.kernel`, :mod:`repro.translate.cuda2ocl.host`)
 define the concrete passes; :mod:`repro.translate.api` assembles them into
-full pipelines (translatability check → parse → rewrites → emit).
+full pipelines (translatability check and parse → rewrites → emit).
 
 Located failures flow through the context: ``ctx.not_supported(...)`` and
 ``ctx.error(...)`` build a :class:`~repro.translate.diagnostics.Diagnostic`

@@ -269,6 +269,51 @@ def test_typed_kernel_identical_all_tiers(ty, seed):
     assert r3.time == r1.time
 
 
+_DIV_INT64_MIN = """
+__kernel void divmin(__global long* q, __global long* r,
+                     __global double* d, int n) {
+  int gid = get_global_id(0);
+  if (gid < n) {
+    long w = (long)(gid >> 1) - 9223372036854775807L - 1L;
+    long m = (gid & 1) ? -1L : 3L;
+    q[gid] = w / m;
+    r[gid] = w % m;
+    d[gid] = (double)(w / m);
+  }
+}
+"""
+
+
+def _run_divmin(tier):
+    dev = Device(GTX_TITAN)
+    mod = load_module(dev, parse(_DIV_INT64_MIN, "opencl"), "opencl",
+                      exec_tier=tier)
+    outs = [dev.alloc_global(8 * N) for _ in range(3)]
+    res = launch_kernel(dev, mod.get_kernel("divmin"), [GROUPS], [BLOCK],
+                        [outs[0].retype(T.LONG), outs[1].retype(T.LONG),
+                         outs[2].retype(T.DOUBLE), N])
+    data = [dev.global_mem.typed_view(p.off, t, N).copy()
+            for p, t in zip(outs, (T.LONG, T.LONG, T.DOUBLE))]
+    return data, res, mod
+
+
+def test_int64_min_division_identical_all_tiers():
+    """C division and modulo at INT64_MIN truncate toward zero on every
+    tier, by 3 and by -1, whose exact quotient 2**63 leaves int64; the
+    kernel stays on the vector rung."""
+    (q, r, d), r1, _ = _run_divmin("interp")
+    assert (q[0], r[0]) == (-3074457345618258602, -2)
+    assert (q[1], r[1], d[1]) == (-2**63, 0, 2.0**63)
+    for tier in ("compiled", "vector"):
+        data, res, mod = _run_divmin(tier)
+        if tier == "vector":
+            assert "divmin" in mod.vector_entries, mod.vector_fallbacks
+        for got, want in zip(data, (q, r, d)):
+            assert got.tobytes() == want.tobytes(), tier
+        assert res.counters == r1.counters
+        assert res.time == r1.time
+
+
 # ---------------------------------------------------------------------------
 # compiled-tier fallback on unsupported constructs
 # ---------------------------------------------------------------------------

@@ -131,6 +131,47 @@ class TestPreprocessor:
         assert "NN" in out and "int NN = 8;" in out
 
 
+#: (source, tokenize kwargs, message, line, col) of every located LexError
+LEX_ERRORS = [
+    ("x = 'ab';", {}, "bad character literal", 1, 5),
+    ("int a;\n  b = @;", {}, "unexpected character '@'", 2, 7),
+    ("int a;\n  b = $;", {"cuda": True}, "unexpected character '$'", 2, 7),
+    ("int caf\u00e9 = 1;", {}, "unexpected character '\u00e9'", 1, 8),
+    ("int a = 1\u00b2;", {}, "bad numeric literal at '\u00b2;'", 1, 10),
+    ("x = Q;", {"defines": {"Q": '"abc'}}, "unterminated string", 1, 5),
+    ("int a;\n#define SQ(x) ((x)*(x))", {},
+     "function-like macros are not supported", 2, 0),
+    ("int a;\n#else\n", {}, "#else without #if", 2, 0),
+    ("int a;\n\n#endif\n", {}, "#endif without #if", 3, 0),
+    ("#if FOO > 1\nint a;\n#endif", {},
+     "unsupported #if expression: 'FOO > 1'", 1, 0),
+    # the strip stage locates its errors at the opener; a spliced
+    # continuation line keeps the lines and columns after it
+    ("int a;\n  /* open", {}, "unterminated block comment", 2, 3),
+    ("int a; \\\n x = \"abc\n", {}, "unterminated string literal", 2, 6),
+]
+
+
+@pytest.mark.parametrize("src,kw,message,line,col", LEX_ERRORS)
+def test_lex_error_message_and_location(src, kw, message, line, col):
+    with pytest.raises(LexError) as ei:
+        tokenize(src, **kw)
+    e = ei.value
+    assert (e.line, e.col) == (line, col)
+    assert str(e) == f"{message} (at line {line}, col {col})"
+
+
+@given(st.text(), st.booleans())
+def test_lexer_never_crashes(src, cuda):
+    """Any text tokenizes to an eof-terminated list or raises LexError."""
+    try:
+        toks = tokenize(src, cuda=cuda)
+    except LexError:
+        return
+    assert toks[-1].kind == "eof"
+    assert all(t.kind != "eof" for t in toks[:-1])
+
+
 @given(st.integers(min_value=0, max_value=2**63 - 1))
 def test_int_literal_roundtrip(n):
     v, _, _ = parse_int_literal(str(n))

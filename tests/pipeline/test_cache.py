@@ -192,7 +192,7 @@ def test_disk_artifact_is_readable_json_with_sources(tmp_path):
     stats = artifact["meta"]["pass_stats"]
     assert stats["pipeline"] == "cuda2ocl-program"
     assert [p["name"] for p in stats["passes"]][:2] == [
-        "translatability-check", "parse"]
+        "translatability-check", "annotate"]
     assert all(p["wall_s"] >= 0 for p in stats["passes"])
     assert artifact["host_source"] == prog.host_source
     assert artifact["device_source"] == prog.device_source

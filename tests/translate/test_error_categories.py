@@ -12,9 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.base import all_apps, get_app
-from repro.errors import TranslationNotSupported
+from repro.clike import parse
+from repro.errors import LexError, TranslationNotSupported
 from repro.pipeline import TranslationJob, translate_many
-from repro.translate.api import translate_cuda_program
+from repro.translate.api import (translate_cuda_program,
+                                 translate_opencl_program)
 from repro.translate.categories import (ALL_CATEGORIES, CAT_LANG, CAT_LIBS,
                                         CAT_NO_FUNC, CAT_OPENGL, CAT_PTX,
                                         CAT_UVA)
@@ -79,6 +81,58 @@ def test_located_diagnostic_points_at_offending_token():
         ln for ln in rendered.splitlines() if " | " in ln]
     pos = snippet_line.index("warpSize")
     assert caret_line[pos] == "^"
+
+
+#: corpus apps the translatability check rejects, with the feature it
+#: reports: two pass the lexical prescan but do not parse, one it flags
+CHECK_BLOCKERS = [
+    ("toolkit", "reduction", "unparseable C++ construct"),
+    ("toolkit", "threadFenceReduction", "unparseable C++ construct"),
+    ("rodinia", "dwt2d", "C++ classes in device code"),
+]
+
+
+@pytest.mark.parametrize("suite,name,feature", CHECK_BLOCKERS)
+def test_check_pass_reports_corpus_blocker(suite, name, feature):
+    """The check pass is the CUDA frontend: a source it cannot parse is
+    still a located Table-3 finding, not a frontend crash."""
+    with pytest.raises(TranslationNotSupported) as exc:
+        translate_cuda_program(get_app(suite, name).cuda_source)
+    e = exc.value
+    assert (e.category, e.feature) == (CAT_LANG, feature)
+    assert e.diagnostic.pass_name == "translatability-check"
+    assert e.line > 0 and e.col > 0
+
+
+#: a non-ASCII letter, which no dialect's identifiers admit
+NON_ASCII = "int caf\u00e9 = 1;"
+
+
+def test_non_ascii_letter_is_a_located_error_at_every_entry_point():
+    with pytest.raises(LexError) as lex:
+        parse(NON_ASCII, "opencl")
+    assert str(lex.value) == "unexpected character '\u00e9' (at line 1, col 8)"
+    with pytest.raises(LexError) as ocl:
+        translate_opencl_program(NON_ASCII)
+    assert (ocl.value.line, ocl.value.col) == (1, 8)
+    with pytest.raises(TranslationNotSupported) as cuda:
+        translate_cuda_program(NON_ASCII)
+    e = cuda.value
+    assert (e.category, e.feature) == (CAT_LANG, "unparseable C++ construct")
+    assert (e.line, e.col) == (1, 8)
+    assert e.diagnostic.pass_name == "translatability-check"
+
+
+def test_translate_many_files_non_ascii_source_by_direction():
+    jobs = [TranslationJob(name=f"bad-{d}", direction=d, source=NON_ASCII)
+            for d in ("cuda2ocl", "ocl2cuda")]
+    cuda, ocl = translate_many(jobs, parallel=False)
+    assert (cuda.error_class, cuda.error_category) == ("unsupported",
+                                                       CAT_LANG)
+    assert (ocl.error_class, ocl.error_type) == ("framework", "LexError")
+    for res in (cuda, ocl):
+        assert (res.error_line, res.error_col) == (1, 8)
+        assert "unexpected character" in res.error_message
 
 
 @pytest.mark.parametrize("category", ALL_CATEGORIES)

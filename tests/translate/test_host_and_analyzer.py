@@ -173,6 +173,45 @@ class TestAnalyzer:
                 "int main(void) { return 0; }")
         assert ei.value.category == CAT_NO_FUNC
 
+    def test_translation_parses_once(self, monkeypatch):
+        """The check pass parses the source, and the rewrites take the
+        unit it analyzed."""
+        from repro.apps.base import get_app
+        from repro.clike.parser import Parser
+        made = []
+        init = Parser.__init__
+
+        def counting(parser, *args, **kwargs):
+            made.append(args[0])
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(Parser, "__init__", counting)
+        prog = translate_cuda_program(get_app("rodinia", "bfs").cuda_source)
+        assert len(made) == 1
+        assert [p.name for p in prog.pass_stats.passes][:2] == [
+            "translatability-check", "annotate"]
+
+    GUARDED_PRINTF = (
+        "__global__ void k(int* o) {\n"
+        "  o[threadIdx.x] = 1;\n"
+        "#ifdef DBG\n"
+        '  printf("%d", o[0]);\n'
+        "#endif\n"
+        "}\n"
+        "int main(void) { return 0; }\n")
+
+    def test_analysis_sees_build_defines(self):
+        """The build defines reach the analysis: a device printf under
+        ``#ifdef DBG`` is the Table-3 printf finding when DBG is set."""
+        assert translate_cuda_program(self.GUARDED_PRINTF).device_source
+        with pytest.raises(TranslationNotSupported) as ei:
+            translate_cuda_program(self.GUARDED_PRINTF,
+                                   defines={"DBG": "1"})
+        e = ei.value
+        assert (e.category, e.feature) == (CAT_LANG, "printf")
+        assert e.diagnostic.pass_name == "translatability-check"
+        assert e.line == 4
+
     def test_multiple_findings_deduplicated(self):
         findings = analyze_cuda_source("""
         __global__ void a(int* o) { o[0] = __shfl(o[0], 0); }
