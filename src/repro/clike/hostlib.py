@@ -8,16 +8,19 @@ reproducible), string/memory functions, and host math.
 
 API families (cl* / cuda*) are *not* defined here — the frameworks and the
 translator wrapper libraries register those callables on top via
-:meth:`HostEnv.register`, which is exactly the paper's structure: the host
-program is untouched and the implementation behind each API name decides
-which model executes it (§3.2).
+:meth:`HostEnv.register_many`, which is exactly the paper's structure: the
+host program is untouched and the implementation behind each API name
+decides which model executes it (§3.2).  Each family defines its entry
+points as methods marked with :func:`api_entry`; :func:`api_entries`
+collects them into the table it registers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import InterpError
 from ..runtime.memory import Memory
@@ -26,7 +29,7 @@ from . import types as T
 from .interp import ExecEnv
 from .stdlib import NAMED_CONSTANTS
 
-__all__ = ["HostEnv", "c_format"]
+__all__ = ["HostEnv", "api_entries", "api_entry", "c_format"]
 
 _FMT_RE = re.compile(r"%[-+ #0]*\d*(?:\.\d+)?(hh|h|ll|l|L|z)?([diuoxXeEfgGcspn%])")
 
@@ -80,6 +83,38 @@ def _py_format(spec: str, value: Any) -> str:
         return str(value)
 
 
+def api_entry(body: Callable[..., Any]) -> Callable[..., Any]:
+    """Mark a method as a host-API entry point.
+
+    A call runs ``self._entry(body, args)``: the family's one hook, which
+    charges one API call to the simulated clock before the body runs (and
+    does whatever else that family does around every entry).
+    :func:`api_entries` registers the entry under the method's name.
+    """
+    @functools.wraps(body)
+    def entry(self: Any, *args: Any) -> Any:
+        return self._entry(body, args)
+    entry.host_api_entry = True  # type: ignore[attr-defined]
+    return entry
+
+
+_ENTRY_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def api_entries(obj: Any) -> Dict[str, Callable[..., Any]]:
+    """``{name: bound entry point}`` of every :func:`api_entry` method of
+    ``obj``'s class, inherited ones included: the table a family hands to
+    :meth:`HostEnv.register_many`.  The names are computed once per class."""
+    cls = type(obj)
+    names = _ENTRY_NAMES.get(cls)
+    if names is None:
+        names = _ENTRY_NAMES[cls] = tuple(dict.fromkeys(
+            name for klass in reversed(cls.__mro__)
+            for name, value in vars(klass).items()
+            if getattr(value, "host_api_entry", False)))
+    return {name: getattr(obj, name) for name in names}
+
+
 class HostEnv(ExecEnv):
     """Standard C host environment with captured stdout."""
 
@@ -93,8 +128,6 @@ class HostEnv(ExecEnv):
         self._builtins: Dict[str, Callable[..., Any]] = {}
         self._constants: Dict[str, Any] = {}
         self._install_libc()
-        #: number of host API calls by name (wrapper-overhead accounting)
-        self.api_calls: Dict[str, int] = {}
 
     # -- extension points used by frameworks / wrapper libraries ------------
 

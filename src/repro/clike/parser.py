@@ -111,6 +111,14 @@ class Parser:
         node.loc = (tok.line, tok.col)
         return node
 
+    def _loc_call(self, call: A.Call) -> A.Call:
+        """A call sits where its callee does; a callee without a location
+        leaves the call at its closing parenthesis."""
+        if A.has_loc(call.func):
+            call.loc = call.func.loc
+            return call
+        return self._loc(call)
+
     # -- type recognition ---------------------------------------------------
 
     def is_type_name(self, name: str) -> bool:
@@ -803,7 +811,7 @@ class Parser:
                         if not self.accept(","):
                             break
                 self.expect(")")
-                expr = self._loc(A.Call(expr, args))
+                expr = self._loc_call(A.Call(expr, args))
             elif tok.text == "[":
                 self.next()
                 idx = self.parse_expr()
@@ -840,7 +848,8 @@ class Parser:
                             if not self.accept(","):
                                 break
                     self.expect(")")
-                    expr = self._loc(A.Call(expr, args, template_args=targs))
+                    expr = self._loc_call(
+                        A.Call(expr, args, template_args=targs))
                 except ParseError:
                     self.pos = save
                     return expr

@@ -15,31 +15,91 @@ the 2^27-texel limit of CC 3.5) or to a CUDA array (``cudaBindTexture2D`` /
 
 Attribute encodings match the CUDA runtime: ``filterMode`` 0=point
 1=linear; ``addressMode[i]`` 0=wrap 1=clamp 2=mirror 3=border;
-``normalized`` 0/1.
+``normalized`` 0/1.  :class:`TextureAttributes` holds them and the
+sampler they select for both CUDA runtimes: the native
+:class:`TextureRef` and the CUDA→OpenCL wrapper's per-texture binding.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from ..clike import types as T
-from ..device.images import DeviceImage, Sampler
+from ..device.images import ChannelFormat, DeviceImage, Sampler
 from ..errors import CudaApiError, DeviceError
-from ..runtime.values import Ptr, Vec
+from ..runtime.values import Ptr, StructRef, Vec
+from .enums import CUDA_CONSTANTS
 
-__all__ = ["TextureRef"]
+__all__ = ["TextureAttributes", "TextureRef", "format_from_desc",
+           "texture_format"]
+
+_K = CUDA_CONSTANTS
+_ORDER_BY_CHANNELS = {1: "R", 2: "RG", 3: "RGB", 4: "RGBA"}
 
 
-class TextureRef:
-    """One CUDA texture reference (file-scope variable)."""
+class TextureAttributes:
+    """A texture reference's name, type and CUDA-visible attributes (ints,
+    assignable from interpreted host code), and the sampler they select."""
 
     def __init__(self, name: str, ttype: T.TextureType) -> None:
         self.name = name
         self.ttype = ttype
-        # CUDA-visible attributes (ints, assignable from interpreted code)
         self.filterMode = 0
         self.addressMode: List[int] = [1, 1, 1]
         self.normalized = 0
+
+    @property
+    def sampler(self) -> Sampler:
+        addressing = {0: "repeat", 1: "clamp_to_edge",
+                      2: "repeat", 3: "clamp"}.get(self.addressMode[0],
+                                                   "clamp_to_edge")
+        return Sampler(normalized=bool(self.normalized),
+                       addressing=addressing,
+                       filtering="linear" if self.filterMode == 1
+                       else "nearest")
+
+
+def texture_format(elem: T.Type) -> ChannelFormat:
+    """The image channel format that holds texels of type ``elem``."""
+    if isinstance(elem, T.VectorType):
+        order = _ORDER_BY_CHANNELS[elem.count]
+        scalar = elem.base
+    else:
+        order = "R"
+        scalar = elem
+    dtype = {"float": "FLOAT", "int": "SIGNED_INT32",
+             "uint": "UNSIGNED_INT32", "uchar": "UNSIGNED_INT8",
+             "char": "SIGNED_INT8", "short": "SIGNED_INT16",
+             "ushort": "UNSIGNED_INT16"}.get(
+        getattr(scalar, "name", "float"), "FLOAT")
+    return ChannelFormat(order, dtype)
+
+
+def format_from_desc(desc: Any) -> ChannelFormat:
+    """The image channel format a ``cudaChannelFormatDesc`` describes."""
+    if isinstance(desc, StructRef):
+        bits = [int(desc.get(c)) for c in "xyzw"]
+        kind = int(desc.get("f"))
+        channels = sum(1 for b in bits if b > 0)
+        order = _ORDER_BY_CHANNELS.get(channels, "R")
+        x = bits[0] or 32
+        if kind == _K["cudaChannelFormatKindFloat"]:
+            dtype = "FLOAT"
+        elif kind == _K["cudaChannelFormatKindSigned"]:
+            dtype = {8: "SIGNED_INT8", 16: "SIGNED_INT16"}.get(
+                x, "SIGNED_INT32")
+        else:
+            dtype = {8: "UNSIGNED_INT8", 16: "UNSIGNED_INT16"}.get(
+                x, "UNSIGNED_INT32")
+        return ChannelFormat(order, dtype)
+    return ChannelFormat("R", "FLOAT")
+
+
+class TextureRef(TextureAttributes):
+    """One CUDA texture reference (file-scope variable)."""
+
+    def __init__(self, name: str, ttype: T.TextureType) -> None:
+        super().__init__(name, ttype)
         # binding
         self.linear: Optional[Ptr] = None
         self.linear_elems = 0
@@ -69,16 +129,6 @@ class TextureRef:
     @property
     def elem_type(self) -> T.Type:
         return self.ttype.base
-
-    @property
-    def sampler(self) -> Sampler:
-        addressing = {0: "repeat", 1: "clamp_to_edge",
-                      2: "repeat", 3: "clamp"}.get(self.addressMode[0],
-                                                   "clamp_to_edge")
-        return Sampler(normalized=bool(self.normalized),
-                       addressing=addressing,
-                       filtering="linear" if self.filterMode == 1
-                       else "nearest")
 
     # -- device-side fetch ----------------------------------------------------------
 

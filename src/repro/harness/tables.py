@@ -98,10 +98,7 @@ def table1() -> Table1:
     # dynamic constant: OpenCL passes a __constant pointer argument sized at
     # run time; CUDA has no API to allocate constant memory dynamically
     def cuda_dynamic_constant():
-        rt = CudaRuntime()
-        import io
-        from ..clike.hostlib import HostEnv
-        table = rt.api_table(HostEnv())
+        table = CudaRuntime().api_table()
         if not any(name in table for name in
                    ("cudaConstantAlloc", "cudaMallocConstant")):
             raise ReproError("no CUDA API allocates constant memory at run time")

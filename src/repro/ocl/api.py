@@ -1,11 +1,12 @@
 """The OpenCL 1.2 host API (cl* entry points) over the simulated device.
 
-:class:`OpenCLFramework` builds the name→callable table that gets
-registered into a :class:`~repro.clike.hostlib.HostEnv`, so interpreted host
-C programs call these exactly like a real ICD.  Every entry point charges
-the simulated clock with the device's API overhead; transfers and kernel
-launches charge their modeled costs (this is what makes wrapper-overhead
-measurable, §6.3).
+:class:`OpenCLFramework` defines each cl* entry point as a method marked
+with :func:`~repro.clike.hostlib.api_entry`; :meth:`OpenCLFramework.install`
+registers them into a :class:`~repro.clike.hostlib.HostEnv`, so interpreted
+host C programs call these exactly like a real ICD.  Every entry point
+charges the simulated clock with the device's API overhead; transfers and
+kernel launches charge their modeled costs (this is what makes
+wrapper-overhead measurable, §6.3).
 
 ``clBuildProgram`` compiles OpenCL C source *at run time* through the
 :mod:`repro.clike` frontend — the online-compilation semantics of Fig. 2
@@ -19,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..clike import parse
 from ..clike import types as T
-from ..clike.hostlib import HostEnv
+from ..clike.hostlib import HostEnv, api_entries, api_entry
 from ..device.engine import Device, LocalArg, launch_kernel, load_module
 from ..device.images import ChannelFormat, Sampler
 from ..device.perf import SimClock
@@ -78,9 +79,16 @@ def _read_size_array(ptr: Any, n: int) -> List[int]:
             for i in range(n)]
 
 
-def _as_handle(value: Any) -> Any:
-    """Accept a handle or a pointer-to-handle slot."""
-    return value
+def _release(fw: "OpenCLFramework", obj: Any) -> int:
+    if obj:
+        obj.release()
+    return _C["CL_SUCCESS"]
+
+
+def _retain(fw: "OpenCLFramework", obj: Any) -> int:
+    if obj:
+        obj.retain()
+    return _C["CL_SUCCESS"]
 
 
 class OpenCLFramework:
@@ -102,404 +110,372 @@ class OpenCLFramework:
     def spec(self):
         return self.cl_devices[0].spec
 
-    def _api(self) -> None:
+    def _entry(self, body: Callable[..., Any], args: Tuple[Any, ...]) -> Any:
         self.clock.charge_api(self.spec)
+        return body(self, *args)
+
+    def api_table(self) -> Dict[str, Callable[..., Any]]:
+        """The cl* entry points by name."""
+        return api_entries(self)
 
     def install(self, env: HostEnv) -> None:
         """Register the cl* API and CL_* constants into a host env."""
         env.register_many(self.api_table())
         env.define_constants(CL_CONSTANTS)
 
-    # -- the API table ------------------------------------------------------------
+    # -- platform & device discovery ---------------------------------------
 
-    def api_table(self) -> Dict[str, Callable[..., Any]]:
-        fw = self
-        table: Dict[str, Callable[..., Any]] = {}
+    @api_entry
+    def clGetPlatformIDs(self, num_entries, platforms, num_platforms):
+        if isinstance(platforms, Ptr):
+            Ptr(platforms.mem, platforms.off,
+                T.PointerType(T.VOID)).store(self.platform)
+        _out(num_platforms, T.UINT, 1)
+        return _C["CL_SUCCESS"]
 
-        def api(fn: Callable[..., Any]) -> Callable[..., Any]:
-            name = fn.__name__
-            def wrapper(*args):
-                fw._api()
-                return fn(*args)
-            table[name] = wrapper
-            return wrapper
+    @api_entry
+    def clGetPlatformInfo(self, platform, param, size, value, size_ret):
+        p = platform or self.platform
+        info = {_C["CL_PLATFORM_NAME"]: p.name,
+                _C["CL_PLATFORM_VENDOR"]: p.vendor,
+                _C["CL_PLATFORM_VERSION"]: p.version,
+                _C["CL_PLATFORM_PROFILE"]: p.profile,
+                _C["CL_PLATFORM_EXTENSIONS"]: ""}
+        s = info.get(int(param))
+        if s is None:
+            return _C["CL_INVALID_VALUE"]
+        _out_string(value, int(size), s, size_ret)
+        return _C["CL_SUCCESS"]
 
-        # -- platform & device discovery ---------------------------------
+    @api_entry
+    def clGetDeviceIDs(self, platform, dev_type, num_entries, devices,
+                       num_devs):
+        plat = platform or self.platform
+        matched = [d for d in plat.devices
+                   if int(dev_type) & (_C["CL_DEVICE_TYPE_GPU"]
+                                       | _C["CL_DEVICE_TYPE_DEFAULT"]
+                                       | _C["CL_DEVICE_TYPE_ALL"])]
+        if not matched:
+            _out(num_devs, T.UINT, 0)
+            return _C["CL_DEVICE_NOT_FOUND"]
+        if isinstance(devices, Ptr):
+            n = min(len(matched), int(num_entries) or len(matched))
+            for i in range(n):
+                Ptr(devices.mem, devices.off + 8 * i,
+                    T.PointerType(T.VOID)).store(matched[i])
+        _out(num_devs, T.UINT, len(matched))
+        return _C["CL_SUCCESS"]
 
-        @api
-        def clGetPlatformIDs(num_entries, platforms, num_platforms):
-            if isinstance(platforms, Ptr):
-                Ptr(platforms.mem, platforms.off,
-                    T.PointerType(T.VOID)).store(fw.platform)
-            _out(num_platforms, T.UINT, 1)
-            return _C["CL_SUCCESS"]
+    @api_entry
+    def clGetDeviceInfo(self, device, param, size, value, size_ret):
+        return self._device_info(device, int(param), int(size), value,
+                                 size_ret)
 
-        @api
-        def clGetPlatformInfo(platform, param, size, value, size_ret):
-            p = platform or fw.platform
-            info = {_C["CL_PLATFORM_NAME"]: p.name,
-                    _C["CL_PLATFORM_VENDOR"]: p.vendor,
-                    _C["CL_PLATFORM_VERSION"]: p.version,
-                    _C["CL_PLATFORM_PROFILE"]: p.profile,
-                    _C["CL_PLATFORM_EXTENSIONS"]: ""}
-            s = info.get(int(param))
-            if s is None:
-                return _C["CL_INVALID_VALUE"]
-            _out_string(value, int(size), s, size_ret)
-            return _C["CL_SUCCESS"]
+    @api_entry
+    def clCreateSubDevices(self, device, props, num_entries, out_devices,
+                           num_ret):
+        # partition equally: this feature has no CUDA counterpart (§3.7)
+        spec = device.spec
+        n = max(2, spec.compute_units // max(1, spec.compute_units // 2))
+        sub_spec = dataclasses.replace(
+            spec, compute_units=spec.compute_units // n)
+        subs = [CLDevice(Device(sub_spec)) for _ in range(n)]
+        if isinstance(out_devices, Ptr):
+            for i, s in enumerate(subs[:int(num_entries) or len(subs)]):
+                Ptr(out_devices.mem, out_devices.off + 8 * i,
+                    T.PointerType(T.VOID)).store(s)
+        _out(num_ret, T.UINT, len(subs))
+        return _C["CL_SUCCESS"]
 
-        @api
-        def clGetDeviceIDs(platform, dev_type, num_entries, devices, num_devs):
-            plat = platform or fw.platform
-            matched = [d for d in plat.devices
-                       if int(dev_type) & (_C["CL_DEVICE_TYPE_GPU"]
-                                           | _C["CL_DEVICE_TYPE_DEFAULT"]
-                                           | _C["CL_DEVICE_TYPE_ALL"])]
-            if not matched:
-                _out(num_devs, T.UINT, 0)
-                return _C["CL_DEVICE_NOT_FOUND"]
-            if isinstance(devices, Ptr):
-                n = min(len(matched), int(num_entries) or len(matched))
-                for i in range(n):
-                    Ptr(devices.mem, devices.off + 8 * i,
-                        T.PointerType(T.VOID)).store(matched[i])
-            _out(num_devs, T.UINT, len(matched))
-            return _C["CL_SUCCESS"]
+    # -- context & queue -----------------------------------------------
 
-        @api
-        def clGetDeviceInfo(device, param, size, value, size_ret):
-            return fw._device_info(device, int(param), int(size), value,
-                                   size_ret)
+    @api_entry
+    def clCreateContext(self, props, num_devices, devices, cb, user_data,
+                        err):
+        devs = self._read_device_list(devices, int(num_devices))
+        ctx = CLContext(devs)
+        _out(err, T.INT, _C["CL_SUCCESS"])
+        return ctx
 
-        @api
-        def clCreateSubDevices(device, props, num_entries, out_devices,
-                               num_ret):
-            # partition equally: this feature has no CUDA counterpart (§3.7)
-            spec = device.spec
-            n = max(2, spec.compute_units // max(1, spec.compute_units // 2))
-            sub_spec = dataclasses.replace(
-                spec, compute_units=spec.compute_units // n)
-            subs = [CLDevice(Device(sub_spec)) for _ in range(n)]
-            if isinstance(out_devices, Ptr):
-                for i, s in enumerate(subs[:int(num_entries) or len(subs)]):
-                    Ptr(out_devices.mem, out_devices.off + 8 * i,
-                        T.PointerType(T.VOID)).store(s)
-            _out(num_ret, T.UINT, len(subs))
-            return _C["CL_SUCCESS"]
+    @api_entry
+    def clCreateContextFromType(self, props, dev_type, cb, user_data, err):
+        ctx = CLContext(list(self.cl_devices))
+        _out(err, T.INT, _C["CL_SUCCESS"])
+        return ctx
 
-        # -- context & queue -----------------------------------------------
+    @api_entry
+    def clCreateCommandQueue(self, context, device, properties, err):
+        q = CLCommandQueue(context, device, int(properties), self.clock)
+        _out(err, T.INT, _C["CL_SUCCESS"])
+        return q
 
-        @api
-        def clCreateContext(props, num_devices, devices, cb, user_data, err):
-            devs = fw._read_device_list(devices, int(num_devices))
-            ctx = CLContext(devs)
-            _out(err, T.INT, _C["CL_SUCCESS"])
-            return ctx
+    # -- program build (Fig. 2 pipeline) ----------------------------------
 
-        @api
-        def clCreateContextFromType(props, dev_type, cb, user_data, err):
-            ctx = CLContext(list(fw.cl_devices))
-            _out(err, T.INT, _C["CL_SUCCESS"])
-            return ctx
+    @api_entry
+    def clCreateProgramWithSource(self, context, count, strings, lengths,
+                                  err):
+        srcs: List[str] = []
+        if isinstance(strings, Ptr):
+            for i in range(int(count)):
+                sp = Ptr(strings.mem, strings.off + 8 * i,
+                         T.PointerType(T.CHAR)).load()
+                if isinstance(sp, Ptr):
+                    srcs.append(sp.mem.read_cstring(sp.off))
+                elif isinstance(sp, str):
+                    srcs.append(sp)
+        elif isinstance(strings, str):
+            srcs.append(strings)
+        prog = CLProgram(context, "\n".join(srcs))
+        _out(err, T.INT, _C["CL_SUCCESS"])
+        return prog
 
-        @api
-        def clCreateCommandQueue(context, device, properties, err):
-            q = CLCommandQueue(context, device, int(properties), fw.clock)
-            _out(err, T.INT, _C["CL_SUCCESS"])
-            return q
+    @api_entry
+    def clBuildProgram(self, program, num_devices, devices, options, cb,
+                       user):
+        opts = ""
+        if isinstance(options, Ptr):
+            opts = options.mem.read_cstring(options.off)
+        elif isinstance(options, str):
+            opts = options
+        program.build_options = opts
+        devs = (self._read_device_list(devices, int(num_devices))
+                if num_devices else program.context.devices)
+        defines = _parse_build_defines(opts)
+        try:
+            for d in devs:
+                if self.build_hook is not None:
+                    program.modules[d.id] = self.build_hook(program, d)
+                else:
+                    unit = parse(program.source, "opencl",
+                                 defines=defines)
+                    program.modules[d.id] = load_module(
+                        d.device, unit, "opencl")
+        except FrontendError as e:
+            program.build_log = str(e)
+            return _C["CL_BUILD_PROGRAM_FAILURE"]
+        program.built = True
+        program.build_log = "build succeeded"
+        # online compilation is not free: charge a build cost
+        self.clock.charge(200e-6 + 2e-9 * len(program.source), "build")
+        return _C["CL_SUCCESS"]
 
-        # -- program build (Fig. 2 pipeline) ----------------------------------
+    @api_entry
+    def clGetProgramBuildInfo(self, program, device, param, size, value,
+                              size_ret):
+        if int(param) == _C["CL_PROGRAM_BUILD_LOG"]:
+            _out_string(value, int(size), program.build_log, size_ret)
+        elif int(param) == _C["CL_PROGRAM_BUILD_STATUS"]:
+            _out(value, T.INT,
+                 _C["CL_BUILD_SUCCESS"] if program.built
+                 else _C["CL_BUILD_ERROR"])
+        return _C["CL_SUCCESS"]
 
-        @api
-        def clCreateProgramWithSource(context, count, strings, lengths, err):
-            srcs: List[str] = []
-            if isinstance(strings, Ptr):
-                for i in range(int(count)):
-                    sp = Ptr(strings.mem, strings.off + 8 * i,
-                             T.PointerType(T.CHAR)).load()
-                    if isinstance(sp, Ptr):
-                        srcs.append(sp.mem.read_cstring(sp.off))
-                    elif isinstance(sp, str):
-                        srcs.append(sp)
-            elif isinstance(strings, str):
-                srcs.append(strings)
-            prog = CLProgram(context, "\n".join(srcs))
-            _out(err, T.INT, _C["CL_SUCCESS"])
-            return prog
+    @api_entry
+    def clCreateKernel(self, program, name, err):
+        kname = (name.mem.read_cstring(name.off)
+                 if isinstance(name, Ptr) else str(name))
+        if not program.built:
+            _out(err, T.INT, _C["CL_INVALID_PROGRAM_EXECUTABLE"])
+            raise OclError(_C["CL_INVALID_PROGRAM_EXECUTABLE"],
+                           "program not built")
+        try:
+            k = CLKernel(program, kname)
+        except Exception:
+            _out(err, T.INT, _C["CL_INVALID_KERNEL_NAME"])
+            raise OclError(_C["CL_INVALID_KERNEL_NAME"], kname)
+        _out(err, T.INT, _C["CL_SUCCESS"])
+        return k
 
-        @api
-        def clBuildProgram(program, num_devices, devices, options, cb, user):
-            opts = ""
-            if isinstance(options, Ptr):
-                opts = options.mem.read_cstring(options.off)
-            elif isinstance(options, str):
-                opts = options
-            program.build_options = opts
-            devs = (fw._read_device_list(devices, int(num_devices))
-                    if num_devices else program.context.devices)
-            defines = _parse_build_defines(opts)
-            try:
-                for d in devs:
-                    if fw.build_hook is not None:
-                        program.modules[d.id] = fw.build_hook(program, d)
-                    else:
-                        unit = parse(program.source, "opencl",
-                                     defines=defines)
-                        program.modules[d.id] = load_module(
-                            d.device, unit, "opencl")
-            except FrontendError as e:
-                program.build_log = str(e)
-                return _C["CL_BUILD_PROGRAM_FAILURE"]
-            program.built = True
-            program.build_log = "build succeeded"
-            # online compilation is not free: charge a build cost
-            fw.clock.charge(200e-6 + 2e-9 * len(program.source), "build")
-            return _C["CL_SUCCESS"]
+    # -- memory objects ------------------------------------------------------
 
-        @api
-        def clGetProgramBuildInfo(program, device, param, size, value,
-                                  size_ret):
-            if int(param) == _C["CL_PROGRAM_BUILD_LOG"]:
-                _out_string(value, int(size), program.build_log, size_ret)
-            elif int(param) == _C["CL_PROGRAM_BUILD_STATUS"]:
-                _out(value, T.INT,
-                     _C["CL_BUILD_SUCCESS"] if program.built
-                     else _C["CL_BUILD_ERROR"])
-            return _C["CL_SUCCESS"]
+    @api_entry
+    def clCreateBuffer(self, context, flags, size, host_ptr, err):
+        size = int(size)
+        if size <= 0:
+            _out(err, T.INT, _C["CL_INVALID_BUFFER_SIZE"])
+            raise OclError(_C["CL_INVALID_BUFFER_SIZE"], str(size))
+        buf = CLBuffer(context, int(flags), size)
+        if (int(flags) & _C["CL_MEM_COPY_HOST_PTR"]) \
+                and isinstance(host_ptr, Ptr):
+            data = host_ptr.mem.view(host_ptr.off, size).copy()
+            for d in context.devices:
+                p = buf.ptr_on(d)
+                p.mem.view(p.off, size)[:] = data
+                self.clock.charge_transfer(size, d.spec)
+        _out(err, T.INT, _C["CL_SUCCESS"])
+        return buf
 
-        @api
-        def clCreateKernel(program, name, err):
-            kname = (name.mem.read_cstring(name.off)
-                     if isinstance(name, Ptr) else str(name))
-            if not program.built:
-                _out(err, T.INT, _C["CL_INVALID_PROGRAM_EXECUTABLE"])
-                raise OclError(_C["CL_INVALID_PROGRAM_EXECUTABLE"],
-                               "program not built")
-            try:
-                k = CLKernel(program, kname)
-            except Exception:
-                _out(err, T.INT, _C["CL_INVALID_KERNEL_NAME"])
-                raise OclError(_C["CL_INVALID_KERNEL_NAME"], kname)
-            _out(err, T.INT, _C["CL_SUCCESS"])
-            return k
+    @api_entry
+    def clCreateImage2D(self, context, flags, fmt_ptr, width, height,
+                        row_pitch, host_ptr, err):
+        fmt = self._read_format(fmt_ptr)
+        img = self._make_image(context, int(flags), 2,
+                               (int(width), int(height)), fmt)
+        return self._fill_image(img, host_ptr, err)
 
-        # -- memory objects ------------------------------------------------------
+    @api_entry
+    def clCreateImage3D(self, context, flags, fmt_ptr, w, h, d,
+                        rp, sp, host_ptr, err):
+        fmt = self._read_format(fmt_ptr)
+        img = self._make_image(context, int(flags), 3,
+                               (int(w), int(h), int(d)), fmt)
+        return self._fill_image(img, host_ptr, err)
 
-        @api
-        def clCreateBuffer(context, flags, size, host_ptr, err):
-            size = int(size)
-            if size <= 0:
-                _out(err, T.INT, _C["CL_INVALID_BUFFER_SIZE"])
-                raise OclError(_C["CL_INVALID_BUFFER_SIZE"], str(size))
-            buf = CLBuffer(context, int(flags), size)
-            if (int(flags) & _C["CL_MEM_COPY_HOST_PTR"]) \
-                    and isinstance(host_ptr, Ptr):
-                data = host_ptr.mem.view(host_ptr.off, size).copy()
-                for d in context.devices:
-                    p = buf.ptr_on(d)
-                    p.mem.view(p.off, size)[:] = data
-                    fw.clock.charge_transfer(size, d.spec)
-            _out(err, T.INT, _C["CL_SUCCESS"])
-            return buf
+    @api_entry
+    def clCreateImage(self, context, flags, fmt_ptr, desc_ptr, host_ptr,
+                      err):
+        fmt = self._read_format(fmt_ptr)
+        desc = StructRef(desc_ptr.mem, desc_ptr.off,
+                         _IMAGE_DESC_TYPE)
+        itype = int(desc.get("image_type"))
+        w = int(desc.get("image_width"))
+        h = int(desc.get("image_height")) or 1
+        dep = int(desc.get("image_depth")) or 1
+        if itype == _C["CL_MEM_OBJECT_IMAGE1D"] \
+                or itype == _C["CL_MEM_OBJECT_IMAGE1D_BUFFER"]:
+            maxw = self.spec.max_image2d[0]
+            if w > maxw:
+                _out(err, T.INT, _C["CL_INVALID_IMAGE_SIZE"])
+                raise OclError(
+                    _C["CL_INVALID_IMAGE_SIZE"],
+                    f"1D image width {w} exceeds device limit {maxw} "
+                    "(the OpenCL-side texture-size mismatch of §5)")
+            img = self._make_image(
+                context, int(flags), 1, (w,), fmt,
+                buffer_backed=itype == _C["CL_MEM_OBJECT_IMAGE1D_BUFFER"])
+        elif itype == _C["CL_MEM_OBJECT_IMAGE3D"]:
+            img = self._make_image(context, int(flags), 3, (w, h, dep), fmt)
+        else:
+            img = self._make_image(context, int(flags), 2, (w, h), fmt)
+        return self._fill_image(img, host_ptr, err)
 
-        @api
-        def clCreateImage2D(context, flags, fmt_ptr, width, height,
-                            row_pitch, host_ptr, err):
-            fmt = fw._read_format(fmt_ptr)
-            img = fw._make_image(context, int(flags), 2,
-                                 (int(width), int(height)), fmt)
-            if isinstance(host_ptr, Ptr):
-                img.image.upload(host_ptr.mem.read_bytes(host_ptr.off,
-                                                         img.size))
-                fw.clock.charge_transfer(img.size, fw.spec)
-            _out(err, T.INT, _C["CL_SUCCESS"])
-            return img
+    @api_entry
+    def clCreateSampler(self, context, normalized, addressing, filtering,
+                        err):
+        s = Sampler(
+            normalized=bool(int(normalized)),
+            addressing=_ADDRESS_BY_VALUE.get(int(addressing),
+                                             "clamp_to_edge"),
+            filtering="linear" if int(filtering) == _C["CL_FILTER_LINEAR"]
+            else "nearest")
+        _out(err, T.INT, _C["CL_SUCCESS"])
+        return CLSampler(s)
 
-        @api
-        def clCreateImage3D(context, flags, fmt_ptr, w, h, d,
-                            rp, sp, host_ptr, err):
-            fmt = fw._read_format(fmt_ptr)
-            img = fw._make_image(context, int(flags), 3,
-                                 (int(w), int(h), int(d)), fmt)
-            if isinstance(host_ptr, Ptr):
-                img.image.upload(host_ptr.mem.read_bytes(host_ptr.off,
-                                                         img.size))
-                fw.clock.charge_transfer(img.size, fw.spec)
-            _out(err, T.INT, _C["CL_SUCCESS"])
-            return img
+    # -- kernel args & launch -------------------------------------------------
 
-        @api
-        def clCreateImage(context, flags, fmt_ptr, desc_ptr, host_ptr, err):
-            fmt = fw._read_format(fmt_ptr)
-            desc = StructRef(desc_ptr.mem, desc_ptr.off,
-                             _IMAGE_DESC_TYPE)
-            itype = int(desc.get("image_type"))
-            w = int(desc.get("image_width"))
-            h = int(desc.get("image_height")) or 1
-            dep = int(desc.get("image_depth")) or 1
-            if itype == _C["CL_MEM_OBJECT_IMAGE1D"] \
-                    or itype == _C["CL_MEM_OBJECT_IMAGE1D_BUFFER"]:
-                maxw = fw.spec.max_image2d[0]
-                if w > maxw:
-                    _out(err, T.INT, _C["CL_INVALID_IMAGE_SIZE"])
-                    raise OclError(
-                        _C["CL_INVALID_IMAGE_SIZE"],
-                        f"1D image width {w} exceeds device limit {maxw} "
-                        "(the OpenCL-side texture-size mismatch of §5)")
-                img = fw._make_image(
-                    context, int(flags), 1, (w,), fmt,
-                    buffer_backed=itype == _C["CL_MEM_OBJECT_IMAGE1D_BUFFER"])
-            elif itype == _C["CL_MEM_OBJECT_IMAGE3D"]:
-                img = fw._make_image(context, int(flags), 3, (w, h, dep), fmt)
-            else:
-                img = fw._make_image(context, int(flags), 2, (w, h), fmt)
-            if isinstance(host_ptr, Ptr):
-                img.image.upload(host_ptr.mem.read_bytes(host_ptr.off,
-                                                         img.size))
-                fw.clock.charge_transfer(img.size, fw.spec)
-            _out(err, T.INT, _C["CL_SUCCESS"])
-            return img
+    @api_entry
+    def clSetKernelArg(self, kernel, index, size, value):
+        return self._set_kernel_arg(kernel, int(index), int(size), value)
 
-        @api
-        def clCreateSampler(context, normalized, addressing, filtering, err):
-            s = Sampler(
-                normalized=bool(int(normalized)),
-                addressing=_ADDRESS_BY_VALUE.get(int(addressing),
-                                                 "clamp_to_edge"),
-                filtering="linear" if int(filtering) == _C["CL_FILTER_LINEAR"]
-                else "nearest")
-            _out(err, T.INT, _C["CL_SUCCESS"])
-            return CLSampler(s)
-
-        # -- kernel args & launch ---------------------------------------------------
-
-        @api
-        def clSetKernelArg(kernel, index, size, value):
-            return fw._set_kernel_arg(kernel, int(index), int(size), value)
-
-        @api
-        def clEnqueueNDRangeKernel(queue, kernel, work_dim, gwo, gws, lws,
-                                   num_wait=0, wait_list=0, event=0):
-            return fw._enqueue_ndrange(queue, kernel, int(work_dim),
-                                       gwo, gws, lws, event)
-
-        @api
-        def clEnqueueTask(queue, kernel, num_wait=0, wait_list=0, event=0):
-            return fw._launch(queue, kernel, (1, 1, 1), (1, 1, 1), event)
-
-        # -- transfers ------------------------------------------------------------------
-
-        @api
-        def clEnqueueWriteBuffer(queue, buf, blocking, offset, size, ptr,
-                                 num_wait=0, wait_list=0, event=0):
-            size = int(size)
-            dptr = buf.ptr_on(queue.device)
-            data = ptr.mem.view(ptr.off, size).copy()
-            dptr.mem.view(dptr.off + int(offset), size)[:] = data
-            fw.clock.charge_transfer(size, queue.device.spec)
-            fw._mk_event(event)
-            return _C["CL_SUCCESS"]
-
-        @api
-        def clEnqueueReadBuffer(queue, buf, blocking, offset, size, ptr,
-                                num_wait=0, wait_list=0, event=0):
-            size = int(size)
-            dptr = buf.ptr_on(queue.device)
-            data = dptr.mem.view(dptr.off + int(offset), size).copy()
-            ptr.mem.view(ptr.off, size)[:] = data
-            fw.clock.charge_transfer(size, queue.device.spec)
-            fw._mk_event(event)
-            return _C["CL_SUCCESS"]
-
-        @api
-        def clEnqueueCopyBuffer(queue, src, dst, soff, doff, size,
-                                num_wait=0, wait_list=0, event=0):
-            size = int(size)
-            sp = src.ptr_on(queue.device)
-            dp = dst.ptr_on(queue.device)
-            data = sp.mem.view(sp.off + int(soff), size).copy()
-            dp.mem.view(dp.off + int(doff), size)[:] = data
-            fw.clock.charge(size / queue.device.spec.dram_bw, "transfer")
-            fw._mk_event(event)
-            return _C["CL_SUCCESS"]
-
-        @api
-        def clEnqueueWriteImage(queue, img, blocking, origin, region,
-                                row_pitch, slice_pitch, ptr,
-                                num_wait=0, wait_list=0, event=0):
-            img.image.upload(ptr.mem.read_bytes(ptr.off, img.size))
-            fw.clock.charge_transfer(img.size, queue.device.spec)
-            fw._mk_event(event)
-            return _C["CL_SUCCESS"]
-
-        @api
-        def clEnqueueReadImage(queue, img, blocking, origin, region,
-                               row_pitch, slice_pitch, ptr,
+    @api_entry
+    def clEnqueueNDRangeKernel(self, queue, kernel, work_dim, gwo, gws, lws,
                                num_wait=0, wait_list=0, event=0):
-            data = img.image.download()
-            ptr.mem.write_bytes(ptr.off, data)
-            fw.clock.charge_transfer(len(data), queue.device.spec)
-            fw._mk_event(event)
-            return _C["CL_SUCCESS"]
+        return self._enqueue_ndrange(queue, kernel, int(work_dim),
+                                     gwo, gws, lws, event)
 
-        # -- sync & teardown -------------------------------------------------------------
+    @api_entry
+    def clEnqueueTask(self, queue, kernel, num_wait=0, wait_list=0,
+                      event=0):
+        return self._launch(queue, kernel, (1, 1, 1), (1, 1, 1), event)
 
-        @api
-        def clFinish(queue):
-            return _C["CL_SUCCESS"]
+    # -- transfers ------------------------------------------------------------
 
-        @api
-        def clFlush(queue):
-            return _C["CL_SUCCESS"]
+    @api_entry
+    def clEnqueueWriteBuffer(self, queue, buf, blocking, offset, size, ptr,
+                             num_wait=0, wait_list=0, event=0):
+        size = int(size)
+        dptr = buf.ptr_on(queue.device)
+        data = ptr.mem.view(ptr.off, size).copy()
+        dptr.mem.view(dptr.off + int(offset), size)[:] = data
+        self.clock.charge_transfer(size, queue.device.spec)
+        self._mk_event(event)
+        return _C["CL_SUCCESS"]
 
-        @api
-        def clWaitForEvents(num, events):
-            return _C["CL_SUCCESS"]
+    @api_entry
+    def clEnqueueReadBuffer(self, queue, buf, blocking, offset, size, ptr,
+                            num_wait=0, wait_list=0, event=0):
+        size = int(size)
+        dptr = buf.ptr_on(queue.device)
+        data = dptr.mem.view(dptr.off + int(offset), size).copy()
+        ptr.mem.view(ptr.off, size)[:] = data
+        self.clock.charge_transfer(size, queue.device.spec)
+        self._mk_event(event)
+        return _C["CL_SUCCESS"]
 
-        @api
-        def clGetEventProfilingInfo(event, param, size, value, size_ret):
-            key = {_C["CL_PROFILING_COMMAND_QUEUED"]: "queued",
-                   _C["CL_PROFILING_COMMAND_SUBMIT"]: "submit",
-                   _C["CL_PROFILING_COMMAND_START"]: "start",
-                   _C["CL_PROFILING_COMMAND_END"]: "end"}.get(int(param))
-            if key is None:
-                return _C["CL_INVALID_VALUE"]
-            _out(value, T.ULONG, int(event.times[key] * 1e9))
-            return _C["CL_SUCCESS"]
+    @api_entry
+    def clEnqueueCopyBuffer(self, queue, src, dst, soff, doff, size,
+                            num_wait=0, wait_list=0, event=0):
+        size = int(size)
+        sp = src.ptr_on(queue.device)
+        dp = dst.ptr_on(queue.device)
+        data = sp.mem.view(sp.off + int(soff), size).copy()
+        dp.mem.view(dp.off + int(doff), size)[:] = data
+        self.clock.charge(size / queue.device.spec.dram_bw, "transfer")
+        self._mk_event(event)
+        return _C["CL_SUCCESS"]
 
-        @api
-        def clGetKernelWorkGroupInfo(kernel, device, param, size, value,
-                                     size_ret):
-            if int(param) == _C["CL_KERNEL_WORK_GROUP_SIZE"]:
-                _out(value, T.SIZE_T, device.spec.max_workgroup_size)
-            elif int(param) == _C["CL_KERNEL_LOCAL_MEM_SIZE"]:
-                kobj = kernel.kobj_for(device)
-                _out(value, T.ULONG, kobj.static_shared_bytes())
-            elif int(param) == _C["CL_KERNEL_PREFERRED_WORK_GROUP_SIZE_MULTIPLE"]:
-                _out(value, T.SIZE_T, device.spec.warp_size)
-            return _C["CL_SUCCESS"]
+    @api_entry
+    def clEnqueueWriteImage(self, queue, img, blocking, origin, region,
+                            row_pitch, slice_pitch, ptr,
+                            num_wait=0, wait_list=0, event=0):
+        img.image.upload(ptr.mem.read_bytes(ptr.off, img.size))
+        self.clock.charge_transfer(img.size, queue.device.spec)
+        self._mk_event(event)
+        return _C["CL_SUCCESS"]
 
-        for name in ("clReleaseMemObject", "clReleaseKernel",
-                     "clReleaseProgram", "clReleaseCommandQueue",
-                     "clReleaseContext", "clReleaseEvent",
-                     "clReleaseSampler", "clReleaseDevice"):
-            def _release(obj, _fw=fw):
-                _fw._api()
-                if obj:
-                    obj.release()
-                return _C["CL_SUCCESS"]
-            table[name] = _release
-        for name in ("clRetainMemObject", "clRetainKernel", "clRetainProgram",
-                     "clRetainCommandQueue", "clRetainContext",
-                     "clRetainEvent"):
-            def _retain(obj, _fw=fw):
-                _fw._api()
-                if obj:
-                    obj.retain()
-                return _C["CL_SUCCESS"]
-            table[name] = _retain
+    @api_entry
+    def clEnqueueReadImage(self, queue, img, blocking, origin, region,
+                           row_pitch, slice_pitch, ptr,
+                           num_wait=0, wait_list=0, event=0):
+        data = img.image.download()
+        ptr.mem.write_bytes(ptr.off, data)
+        self.clock.charge_transfer(len(data), queue.device.spec)
+        self._mk_event(event)
+        return _C["CL_SUCCESS"]
 
-        return table
+    # -- sync & teardown ------------------------------------------------------
+
+    @api_entry
+    def clFinish(self, queue):
+        return _C["CL_SUCCESS"]
+
+    @api_entry
+    def clFlush(self, queue):
+        return _C["CL_SUCCESS"]
+
+    @api_entry
+    def clWaitForEvents(self, num, events):
+        return _C["CL_SUCCESS"]
+
+    @api_entry
+    def clGetEventProfilingInfo(self, event, param, size, value, size_ret):
+        key = {_C["CL_PROFILING_COMMAND_QUEUED"]: "queued",
+               _C["CL_PROFILING_COMMAND_SUBMIT"]: "submit",
+               _C["CL_PROFILING_COMMAND_START"]: "start",
+               _C["CL_PROFILING_COMMAND_END"]: "end"}.get(int(param))
+        if key is None:
+            return _C["CL_INVALID_VALUE"]
+        _out(value, T.ULONG, int(event.times[key] * 1e9))
+        return _C["CL_SUCCESS"]
+
+    @api_entry
+    def clGetKernelWorkGroupInfo(self, kernel, device, param, size, value,
+                                 size_ret):
+        if int(param) == _C["CL_KERNEL_WORK_GROUP_SIZE"]:
+            _out(value, T.SIZE_T, device.spec.max_workgroup_size)
+        elif int(param) == _C["CL_KERNEL_LOCAL_MEM_SIZE"]:
+            kobj = kernel.kobj_for(device)
+            _out(value, T.ULONG, kobj.static_shared_bytes())
+        elif int(param) == _C["CL_KERNEL_PREFERRED_WORK_GROUP_SIZE_MULTIPLE"]:
+            _out(value, T.SIZE_T, device.spec.warp_size)
+        return _C["CL_SUCCESS"]
+
+    clReleaseMemObject = clReleaseKernel = clReleaseProgram = \
+        clReleaseCommandQueue = clReleaseContext = clReleaseEvent = \
+        clReleaseSampler = clReleaseDevice = api_entry(_release)
+    clRetainMemObject = clRetainKernel = clRetainProgram = \
+        clRetainCommandQueue = clRetainContext = clRetainEvent = \
+        api_entry(_retain)
 
     # -- internals -----------------------------------------------------------------
 
@@ -523,6 +499,15 @@ class OpenCLFramework:
         """Image object factory; the OpenCL->CUDA wrapper library overrides
         this to back images with CUDA memory (CLImage, Fig. 6)."""
         return CLImage(context, flags, dims, shape, fmt, buffer_backed)
+
+    def _fill_image(self, img: CLImage, host_ptr: Any, err: Any) -> CLImage:
+        """Finish an image-creating call: upload the initial contents, if
+        any, and report success."""
+        if isinstance(host_ptr, Ptr):
+            img.image.upload(host_ptr.mem.read_bytes(host_ptr.off, img.size))
+            self.clock.charge_transfer(img.size, self.spec)
+        _out(err, T.INT, _C["CL_SUCCESS"])
+        return img
 
     def _read_format(self, fmt_ptr: Any) -> ChannelFormat:
         if isinstance(fmt_ptr, StructRef):

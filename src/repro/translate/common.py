@@ -9,9 +9,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..clike import ast as A
 from ..clike import types as T
 
-__all__ = ["clone", "rewrite_exprs", "rewrite_stmts", "map_statements",
-           "substitute_type", "ident", "call", "intlit", "expr_stmt",
-           "gather"]
+__all__ = ["clone", "rewrite_exprs", "map_statements", "substitute_type",
+           "ident", "call", "intlit", "expr_stmt", "gather"]
 
 
 class _Instrumentation(threading.local):
@@ -52,86 +51,91 @@ def expr_stmt(e: A.Node) -> A.ExprStmt:
     return A.ExprStmt(e)
 
 
-def rewrite_exprs(node: A.Node,
-                  fn: Callable[[A.Node], Optional[A.Node]]) -> A.Node:
+# The traversals below are module-level functions that take ``fn`` and the
+# pass context, not closures over them: a closure that calls itself sits
+# in a reference cycle, which would keep the context, and through it the
+# translation's AST, alive until the collector's next full pass.
+
+_STMT_TYPES = (A.Compound, A.ExprStmt, A.DeclStmt, A.If, A.For, A.While,
+               A.DoWhile, A.Return, A.Switch, A.Break, A.Continue, A.VarDecl)
+_ExprFn = Callable[[A.Node], Optional[A.Node]]
+_StmtFn = Callable[[A.Node], Optional[List[A.Node]]]
+
+
+def rewrite_exprs(node: A.Node, fn: _ExprFn) -> A.Node:
     """Bottom-up expression rewriting.
 
     ``fn`` receives each expression node (after its children were
     processed) and returns a replacement or None to keep it.  Statements
     are traversed in place.
     """
-    instr = _INSTR.ctx
-
-    def walk_expr(e: A.Node) -> A.Node:
-        for field in e._fields:
-            v = getattr(e, field, None)
-            if isinstance(v, A.Node):
-                setattr(e, field, walk_expr(v))
-            elif isinstance(v, list):
-                setattr(e, field, [walk_expr(x) if isinstance(x, A.Node)
-                                   else x for x in v])
-        out = fn(e)
-        if instr is not None:
-            instr.visits += 1
-            if out is not None:
-                instr.rewrites += 1
-        return out if out is not None else e
-
-    def walk_stmt(s: A.Node) -> None:
-        if isinstance(s, (A.Compound,)):
-            for st in s.stmts:
-                walk_stmt(st)
-        elif isinstance(s, A.ExprStmt):
-            s.expr = walk_expr(s.expr)
-        elif isinstance(s, A.DeclStmt):
-            for d in s.decls:
-                if d.init is not None:
-                    d.init = walk_expr(d.init)
-        elif isinstance(s, A.If):
-            s.cond = walk_expr(s.cond)
-            walk_stmt(s.then)
-            if s.orelse is not None:
-                walk_stmt(s.orelse)
-        elif isinstance(s, A.For):
-            if s.init is not None:
-                walk_stmt(s.init)
-            if s.cond is not None:
-                s.cond = walk_expr(s.cond)
-            if s.step is not None:
-                s.step = walk_expr(s.step)
-            walk_stmt(s.body)
-        elif isinstance(s, A.While):
-            s.cond = walk_expr(s.cond)
-            walk_stmt(s.body)
-        elif isinstance(s, A.DoWhile):
-            walk_stmt(s.body)
-            s.cond = walk_expr(s.cond)
-        elif isinstance(s, A.Return):
-            if s.value is not None:
-                s.value = walk_expr(s.value)
-        elif isinstance(s, A.Switch):
-            s.cond = walk_expr(s.cond)
-            for case in s.cases:
-                if case.value is not None:
-                    case.value = walk_expr(case.value)
-                for st in case.stmts:
-                    walk_stmt(st)
-        elif isinstance(s, (A.Break, A.Continue)):
-            pass
-        elif isinstance(s, A.VarDecl):
-            if s.init is not None:
-                s.init = walk_expr(s.init)
-
-    if isinstance(s := node, (A.Compound, A.ExprStmt, A.DeclStmt, A.If,
-                              A.For, A.While, A.DoWhile, A.Return, A.Switch,
-                              A.Break, A.Continue, A.VarDecl)):
-        walk_stmt(s)
+    if isinstance(node, _STMT_TYPES):
+        _walk_stmt(node, fn, _INSTR.ctx)
         return node
-    return walk_expr(node)
+    return _walk_expr(node, fn, _INSTR.ctx)
 
 
-def map_statements(body: A.Compound,
-                   fn: Callable[[A.Node], "Optional[List[A.Node]]"]) -> None:
+def _walk_expr(e: A.Node, fn: _ExprFn, instr: Any) -> A.Node:
+    for field in e._fields:
+        v = getattr(e, field, None)
+        if isinstance(v, A.Node):
+            setattr(e, field, _walk_expr(v, fn, instr))
+        elif isinstance(v, list):
+            setattr(e, field, [_walk_expr(x, fn, instr)
+                               if isinstance(x, A.Node) else x for x in v])
+    out = fn(e)
+    if instr is not None:
+        instr.visits += 1
+        if out is not None:
+            instr.rewrites += 1
+    return out if out is not None else e
+
+
+def _walk_stmt(s: A.Node, fn: _ExprFn, instr: Any) -> None:
+    if isinstance(s, A.Compound):
+        for st in s.stmts:
+            _walk_stmt(st, fn, instr)
+    elif isinstance(s, A.ExprStmt):
+        s.expr = _walk_expr(s.expr, fn, instr)
+    elif isinstance(s, A.DeclStmt):
+        for d in s.decls:
+            if d.init is not None:
+                d.init = _walk_expr(d.init, fn, instr)
+    elif isinstance(s, A.If):
+        s.cond = _walk_expr(s.cond, fn, instr)
+        _walk_stmt(s.then, fn, instr)
+        if s.orelse is not None:
+            _walk_stmt(s.orelse, fn, instr)
+    elif isinstance(s, A.For):
+        if s.init is not None:
+            _walk_stmt(s.init, fn, instr)
+        if s.cond is not None:
+            s.cond = _walk_expr(s.cond, fn, instr)
+        if s.step is not None:
+            s.step = _walk_expr(s.step, fn, instr)
+        _walk_stmt(s.body, fn, instr)
+    elif isinstance(s, A.While):
+        s.cond = _walk_expr(s.cond, fn, instr)
+        _walk_stmt(s.body, fn, instr)
+    elif isinstance(s, A.DoWhile):
+        _walk_stmt(s.body, fn, instr)
+        s.cond = _walk_expr(s.cond, fn, instr)
+    elif isinstance(s, A.Return):
+        if s.value is not None:
+            s.value = _walk_expr(s.value, fn, instr)
+    elif isinstance(s, A.Switch):
+        s.cond = _walk_expr(s.cond, fn, instr)
+        for case in s.cases:
+            if case.value is not None:
+                case.value = _walk_expr(case.value, fn, instr)
+            for st in case.stmts:
+                _walk_stmt(st, fn, instr)
+    elif isinstance(s, A.VarDecl):
+        if s.init is not None:
+            s.init = _walk_expr(s.init, fn, instr)
+
+
+def map_statements(body: A.Compound, fn: _StmtFn) -> None:
     """Rewrite every statement list in ``body`` in place.
 
     ``fn`` receives a statement and returns a replacement list of
@@ -139,56 +143,54 @@ def map_statements(body: A.Compound,
     nested blocks *after* the statement itself, so replacements are not
     re-processed.
     """
-    instr = _INSTR.ctx
+    body.stmts = _map_list(body.stmts, fn, _INSTR.ctx)
 
-    def apply(s: A.Node) -> Optional[List[A.Node]]:
-        repl = fn(s)
-        if instr is not None:
-            instr.visits += 1
-            if repl is not None:
-                instr.rewrites += 1
-        return repl
 
-    def handle_list(stmts: List[A.Node]) -> List[A.Node]:
-        out: List[A.Node] = []
-        for s in stmts:
-            repl = apply(s)
-            if repl is None:
-                recurse(s)
-                out.append(s)
-            else:
-                out.extend(repl)
-        return out
+def _map_apply(s: A.Node, fn: _StmtFn, instr: Any) -> Optional[List[A.Node]]:
+    repl = fn(s)
+    if instr is not None:
+        instr.visits += 1
+        if repl is not None:
+            instr.rewrites += 1
+    return repl
 
-    def handle_one(s: A.Node) -> A.Node:
-        """A single-statement position (brace-less if/loop body): a
-        multi-statement replacement is wrapped in a compound."""
-        repl = apply(s)
+
+def _map_list(stmts: List[A.Node], fn: _StmtFn, instr: Any) -> List[A.Node]:
+    out: List[A.Node] = []
+    for s in stmts:
+        repl = _map_apply(s, fn, instr)
         if repl is None:
-            recurse(s)
-            return s
-        if len(repl) == 1:
-            return repl[0]
-        return A.Compound(repl)
-
-    def recurse(s: A.Node) -> None:
-        if isinstance(s, A.Compound):
-            s.stmts = handle_list(s.stmts)
-        elif isinstance(s, A.If):
-            s.then = handle_one(s.then)
-            if s.orelse is not None:
-                s.orelse = handle_one(s.orelse)
-        elif isinstance(s, (A.For, A.While, A.DoWhile)):
-            s.body = handle_one(s.body)
-        elif isinstance(s, A.Switch):
-            for case in s.cases:
-                case.stmts = handle_list(case.stmts)
-
-    body.stmts = handle_list(body.stmts)
+            _map_nested(s, fn, instr)
+            out.append(s)
+        else:
+            out.extend(repl)
+    return out
 
 
-# backwards-friendly alias used by the direction modules
-rewrite_stmts = map_statements
+def _map_one(s: A.Node, fn: _StmtFn, instr: Any) -> A.Node:
+    """A single-statement position (brace-less if/loop body): a
+    multi-statement replacement is wrapped in a compound."""
+    repl = _map_apply(s, fn, instr)
+    if repl is None:
+        _map_nested(s, fn, instr)
+        return s
+    if len(repl) == 1:
+        return repl[0]
+    return A.Compound(repl)
+
+
+def _map_nested(s: A.Node, fn: _StmtFn, instr: Any) -> None:
+    if isinstance(s, A.Compound):
+        s.stmts = _map_list(s.stmts, fn, instr)
+    elif isinstance(s, A.If):
+        s.then = _map_one(s.then, fn, instr)
+        if s.orelse is not None:
+            s.orelse = _map_one(s.orelse, fn, instr)
+    elif isinstance(s, (A.For, A.While, A.DoWhile)):
+        s.body = _map_one(s.body, fn, instr)
+    elif isinstance(s, A.Switch):
+        for case in s.cases:
+            case.stmts = _map_list(case.stmts, fn, instr)
 
 
 def substitute_type(t: T.Type, mapping: Dict[T.Type, T.Type]) -> T.Type:

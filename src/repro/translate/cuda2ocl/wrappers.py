@@ -21,92 +21,69 @@ on the AMD HD7970 (§6.3).  Key behaviours straight from the paper:
 It also provides the ``__c2o_*`` glue used by statically translated host
 code: the command queue, per-kernel ``cl_kernel`` handles, per-symbol
 buffers, NDRange computation, and texture image/sampler access.
+
+The entry points both CUDA runtimes implement alike (host memory, errors,
+events, streams) live in :class:`~repro.cuda.runtime.CudaCore`, which
+:class:`Cuda2OclRuntime` extends with the wrappers below; they call the
+OpenCL framework's entry points directly, so each charges once.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ...clike import types as T
-from ...clike.hostlib import HostEnv
-from ...cuda.enums import CUDA_CONSTANTS, cuda_err_name
+from ...clike.dialect import CUDA
+from ...clike.hostlib import HostEnv, api_entry
+from ...cuda.enums import CUDA_CONSTANTS
+from ...cuda.runtime import CudaCore, _store_handle, dim3_tuple
+from ...cuda.textures import (TextureAttributes, format_from_desc,
+                              texture_format)
 from ...device.engine import Device
-from ...device.images import ChannelFormat, Sampler
 from ...device.perf import SimClock
 from ...device.specs import GTX_TITAN
 from ...errors import CudaApiError, OclError, TranslationNotSupported
 from ...ocl.api import OpenCLFramework
 from ...ocl.enums import CL_CONSTANTS
-from ...ocl.objects import (CLBuffer, CLCommandQueue, CLContext, CLDevice,
-                            CLImage, CLKernel, CLProgram, CLSampler)
-from ...runtime.values import Ptr, StructRef, Vec
+from ...ocl.objects import (CLBuffer, CLCommandQueue, CLContext, CLImage,
+                            CLKernel, CLProgram, CLSampler)
+from ...runtime.memory import Memory
+from ...runtime.values import Ptr, StructRef
 from ..categories import CAT_LANG, CAT_NO_FUNC
-from .kernel import Cuda2OclDeviceResult, SymbolInfo
+from .kernel import Cuda2OclDeviceResult
 
 __all__ = ["Cuda2OclRuntime", "TexBinding"]
 
 _K = CUDA_CONSTANTS
 _C = CL_CONSTANTS
+_PROP_TYPE = CUDA.typedefs["cudaDeviceProp"]
 
 
-class TexBinding:
+class TexBinding(TextureAttributes):
     """Host-side state for one translated CUDA texture reference."""
 
     def __init__(self, name: str, ttype: T.TextureType) -> None:
-        self.name = name
-        self.ttype = ttype
-        # CUDA-compatible attributes assignable from host code
-        self.filterMode = 0
-        self.addressMode = [1, 1, 1]
-        self.normalized = 0
+        super().__init__(name, ttype)
         # current binding
         self.image: Optional[CLImage] = None
         self.source_buffer: Optional[CLBuffer] = None
         self.elems = 0
 
-    @property
-    def sampler(self) -> Sampler:
-        addressing = {0: "repeat", 1: "clamp_to_edge", 2: "repeat",
-                      3: "clamp"}.get(self.addressMode[0], "clamp_to_edge")
-        return Sampler(normalized=bool(self.normalized),
-                       addressing=addressing,
-                       filtering="linear" if self.filterMode == 1
-                       else "nearest")
 
-
-def _channel_format_for(ttype: T.TextureType) -> ChannelFormat:
-    base = ttype.base
-    if isinstance(base, T.VectorType):
-        order = {1: "R", 2: "RG", 3: "RGB", 4: "RGBA"}[base.count]
-        scalar = base.base
-    else:
-        order = "R"
-        scalar = base
-    dtype = {"float": "FLOAT", "int": "SIGNED_INT32",
-             "uint": "UNSIGNED_INT32", "uchar": "UNSIGNED_INT8",
-             "char": "SIGNED_INT8", "short": "SIGNED_INT16",
-             "ushort": "UNSIGNED_INT16"}.get(
-        getattr(scalar, "name", "float"), "FLOAT")
-    return ChannelFormat(order, dtype)
-
-
-class Cuda2OclRuntime:
+class Cuda2OclRuntime(CudaCore):
     """The translated program's runtime: cuda* wrappers + __c2o_* glue."""
 
     def __init__(self, device_result: Cuda2OclDeviceResult,
                  device: Optional[Device] = None,
                  clock: Optional[SimClock] = None,
                  framework: Optional[OpenCLFramework] = None) -> None:
+        super().__init__()
         self.device_result = device_result
         if framework is None:
             framework = OpenCLFramework(
                 [device or Device(GTX_TITAN)], clock=clock)
         self.fw = framework
-        self.cl = framework.api_table()
         self.clock = framework.clock
-        self.last_error = _K["cudaSuccess"]
         # lazily-built state (§3.4)
         self._built = False
         self.context: Optional[CLContext] = None
@@ -114,8 +91,6 @@ class Cuda2OclRuntime:
         self.program: Optional[CLProgram] = None
         self.kernels: Dict[str, CLKernel] = {}
         self.symbol_buffers: Dict[str, CLBuffer] = {}
-        self.symbol_info: Dict[str, SymbolInfo] = {
-            s.name: s for s in device_result.symbols}
         self.textures: Dict[str, TexBinding] = {}
 
     # -- lazy device-code build (§3.4) ---------------------------------------
@@ -124,12 +99,11 @@ class Cuda2OclRuntime:
         if self._built:
             return
         self._built = True
-        fw = self.fw
-        dev = fw.cl_devices[0]
+        dev = self.fw.cl_devices[0]
         self.context = CLContext([dev])
         self.queue = CLCommandQueue(self.context, dev, 0, self.clock)
         prog = CLProgram(self.context, self.device_result.opencl_source)
-        err = self.cl["clBuildProgram"](prog, 0, None, None, None, None)
+        err = self.fw.clBuildProgram(prog, 0, None, None, None, None)
         if err != _C["CL_SUCCESS"]:
             raise OclError(err, "translated device code failed to build: "
                            + prog.build_log)
@@ -154,9 +128,10 @@ class Cuda2OclRuntime:
     def spec(self):
         return self.fw.spec
 
-    def _api(self) -> None:
+    def _entry(self, body: Callable[..., Any], args: Tuple[Any, ...]) -> Any:
         self._ensure_built()
         self.clock.charge_api(self.spec)
+        return body(self, *args)
 
     # -- installation ------------------------------------------------------------
 
@@ -164,27 +139,31 @@ class Cuda2OclRuntime:
         """Register the cl* API, the cuda* wrappers, the __c2o_* glue and
         both constant families."""
         self.fw.install(env)
-        env.register_many(self._wrapper_table(env))
-        env.define_constants(CUDA_CONSTANTS)
-        rt = self
-        env.define_lazy_constant("__c2o_queue", lambda: rt._queue())
+        super().install(env)
+        env.define_lazy_constant("__c2o_queue", self._queue)
         for name in self.device_result.kernels:
             env.define_lazy_constant(
-                f"__c2o_kernel_{name}",
-                lambda n=name: rt._kernel(n))
+                f"__c2o_kernel_{name}", lambda n=name: self._kernel(n))
         for sym in self.device_result.symbols:
             env.define_lazy_constant(
-                f"__c2o_sym_{sym.name}",
-                lambda n=sym.name: rt._symbol(n))
+                f"__c2o_sym_{sym.name}", lambda n=sym.name: self._symbol(n))
         for tname in self.device_result.textures:
             env.define_lazy_constant(
-                f"__c2o_tex_{tname}",
-                lambda n=tname: rt._texture(n))
+                f"__c2o_tex_{tname}", lambda n=tname: self._texture(n))
             # untouched host code keeps using the texture reference by its
             # original name (cudaBindTexture(NULL, tex, ...) and attribute
             # assignments like tex.filterMode = ...): resolve it to the
             # wrapper-side binding object
-            env.define_lazy_constant(tname, lambda n=tname: rt._texture(n))
+            env.define_lazy_constant(tname, lambda n=tname: self._texture(n))
+
+    def api_table(self) -> Dict[str, Callable[..., Any]]:
+        """The cuda*/cu* wrappers and the uncharged ``__c2o_*`` glue used by
+        statically translated code, by name."""
+        table = super().api_table()
+        table["__c2o_set_dims"] = _set_dims
+        table["__c2o_tex_image"] = self._materialize_image
+        table["__c2o_tex_sampler"] = _tex_sampler
+        return table
 
     def _queue(self) -> CLCommandQueue:
         self._ensure_built()
@@ -203,366 +182,271 @@ class Cuda2OclRuntime:
         self._ensure_built()
         return self.textures[name]
 
-    # -- the cuda* wrapper table -----------------------------------------------------
+    # -- the cuda* wrappers ------------------------------------------------------
 
-    def _wrapper_table(self, env: HostEnv) -> Dict[str, Callable[..., Any]]:
-        rt = self
-        table: Dict[str, Callable[..., Any]] = {}
+    @api_entry
+    def cudaMalloc(self, devptr_out, size):
+        buf = self.fw.clCreateBuffer(self.context, _C["CL_MEM_READ_WRITE"],
+                                     int(size), 0, 0)
+        # run-time cast: the cl_mem handle travels through void* (§2)
+        _store_handle(devptr_out, buf)
+        return _K["cudaSuccess"]
 
-        def api(fn: Callable[..., Any]) -> Callable[..., Any]:
-            def wrapper(*args):
-                rt._api()
-                return fn(*args)
-            table[fn.__name__] = wrapper
-            return wrapper
+    @api_entry
+    def cudaFree(self, handle):
+        if isinstance(handle, CLBuffer):
+            self.fw.clReleaseMemObject(handle)
+        return _K["cudaSuccess"]
 
-        @api
-        def cudaMalloc(devptr_out, size):
-            buf = rt.cl["clCreateBuffer"](rt.context, _C["CL_MEM_READ_WRITE"],
-                                          int(size), 0, 0)
-            # run-time cast: the cl_mem handle travels through void* (§2)
-            Ptr(devptr_out.mem, devptr_out.off,
-                T.PointerType(T.VOID)).store(buf)
-            return _K["cudaSuccess"]
+    @api_entry
+    def cudaMemcpy(self, dst, src, count, kind=None):
+        # run-time type dispatch: buffer handle vs host pointer — the
+        # wrapper approach's answer to separate compilation (§2)
+        count = int(count)
+        q = self._queue()
+        if isinstance(dst, CLBuffer) and isinstance(src, CLBuffer):
+            return _cl_ok(self.fw.clEnqueueCopyBuffer(
+                q, src, dst, 0, 0, count, 0, None, None))
+        if isinstance(dst, CLBuffer):
+            return _cl_ok(self.fw.clEnqueueWriteBuffer(
+                q, dst, 1, 0, count, src, 0, None, None))
+        if isinstance(src, CLBuffer):
+            return _cl_ok(self.fw.clEnqueueReadBuffer(
+                q, src, 1, 0, count, dst, 0, None, None))
+        # host-to-host
+        data = src.mem.view(src.off, count).copy()
+        dst.mem.view(dst.off, count)[:] = data
+        return _K["cudaSuccess"]
 
-        @api
-        def cudaFree(handle):
-            if isinstance(handle, CLBuffer):
-                rt.cl["clReleaseMemObject"](handle)
-            return _K["cudaSuccess"]
+    @api_entry
+    def cudaMemset(self, handle, value, count):
+        if isinstance(handle, CLBuffer):
+            q = self._queue()
+            dev = q.device
+            p = handle.ptr_on(dev)
+            p.mem.view(p.off, int(count))[:] = int(value) & 0xFF
+            self.clock.charge(int(count) / dev.spec.dram_bw, "transfer")
+        return _K["cudaSuccess"]
 
-        @api
-        def cudaMallocHost(ptr_out, size):
-            p = env.malloc(int(size))
-            Ptr(ptr_out.mem, ptr_out.off, T.PointerType(T.VOID)).store(p)
-            return _K["cudaSuccess"]
+    @api_entry
+    def cudaDeviceSynchronize(self):
+        return _cl_ok(self.fw.clFinish(self._queue()))
 
-        @api
-        def cudaFreeHost(p):
-            env.builtin("free")(p)
-            return _K["cudaSuccess"]
+    cudaThreadSynchronize = cudaDeviceSynchronize
 
-        @api
-        def cudaMemcpy(dst, src, count, kind=None):
-            # run-time type dispatch: buffer handle vs host pointer — the
-            # wrapper approach's answer to separate compilation (§2)
-            count = int(count)
-            q = rt._queue()
-            if isinstance(dst, CLBuffer) and isinstance(src, CLBuffer):
-                return _cl_ok(rt.cl["clEnqueueCopyBuffer"](
-                    q, src, dst, 0, 0, count, 0, None, None))
-            if isinstance(dst, CLBuffer):
-                return _cl_ok(rt.cl["clEnqueueWriteBuffer"](
-                    q, dst, 1, 0, count, src, 0, None, None))
-            if isinstance(src, CLBuffer):
-                return _cl_ok(rt.cl["clEnqueueReadBuffer"](
-                    q, src, 1, 0, count, dst, 0, None, None))
-            # host-to-host
-            data = src.mem.view(src.off, count).copy()
-            dst.mem.view(dst.off, count)[:] = data
-            return _K["cudaSuccess"]
+    @api_entry
+    def cudaStreamSynchronize(self, s):
+        return _cl_ok(self.fw.clFinish(self._queue()))
 
-        @api
-        def cudaMemcpyAsync(dst, src, count, kind=None, stream=0):
-            return table["cudaMemcpy"](dst, src, count, kind)
+    @api_entry
+    def cudaGetDeviceCount(self, count_out):
+        count_out.mem.write_scalar(count_out.off, T.INT,
+                                   len(self.fw.cl_devices))
+        return _K["cudaSuccess"]
 
-        @api
-        def cudaMemset(handle, value, count):
-            if isinstance(handle, CLBuffer):
-                q = rt._queue()
-                dev = q.device
-                p = handle.ptr_on(dev)
-                p.mem.view(p.off, int(count))[:] = int(value) & 0xFF
-                rt.clock.charge(int(count) / dev.spec.dram_bw, "transfer")
-            return _K["cudaSuccess"]
+    @api_entry
+    def cudaGetDeviceProperties(self, prop_out, devno):
+        """cudaGetDeviceProperties over many clGetDeviceInfo calls — the
+        deviceQuery slowdown of §6.3."""
+        dev = self.fw.cl_devices[0]
+        ref = StructRef(prop_out.mem, prop_out.off, _PROP_TYPE)
+        scratch_mem = Memory("devprop-scratch", 512)
+        out = Ptr(scratch_mem, 0, T.ULONG)
 
-        @api
-        def cudaDeviceSynchronize():
-            return _cl_ok(rt.cl["clFinish"](rt._queue()))
+        def info(param: int, st: T.ScalarType) -> int:
+            self.fw.clGetDeviceInfo(dev, param, 8, out, 0)
+            return int(scratch_mem.read_scalar(0, st))
 
-        @api
-        def cudaThreadSynchronize():
-            return _cl_ok(rt.cl["clFinish"](rt._queue()))
+        # name
+        self.fw.clGetDeviceInfo(dev, _C["CL_DEVICE_NAME"], 256,
+                                Ptr(scratch_mem, 0, T.CHAR), 0)
+        name = scratch_mem.read_cstring(0)
+        prop_out.mem.write_cstring(
+            prop_out.off + _PROP_TYPE.field_offset("name"), name)
 
-        @api
-        def cudaGetLastError():
-            err, rt.last_error = rt.last_error, _K["cudaSuccess"]
-            return err
+        ref.set("totalGlobalMem",
+                info(_C["CL_DEVICE_GLOBAL_MEM_SIZE"], T.ULONG))
+        ref.set("sharedMemPerBlock",
+                info(_C["CL_DEVICE_LOCAL_MEM_SIZE"], T.ULONG))
+        ref.set("regsPerBlock", 65536)
+        ref.set("warpSize",
+                info(_C["CL_DEVICE_PREFERRED_VECTOR_WIDTH_FLOAT"], T.UINT) * 8)
+        ref.set("maxThreadsPerBlock",
+                info(_C["CL_DEVICE_MAX_WORK_GROUP_SIZE"], T.SIZE_T))
+        for i in range(3):
+            base = prop_out.off + _PROP_TYPE.field_offset("maxThreadsDim")
+            prop_out.mem.write_scalar(
+                base + 4 * i, T.INT,
+                info(_C["CL_DEVICE_MAX_WORK_GROUP_SIZE"], T.SIZE_T))
+            base = prop_out.off + _PROP_TYPE.field_offset("maxGridSize")
+            prop_out.mem.write_scalar(base + 4 * i, T.INT, 65535)
+        ref.set("clockRate",
+                info(_C["CL_DEVICE_MAX_CLOCK_FREQUENCY"], T.UINT) * 1000)
+        ref.set("totalConstMem",
+                info(_C["CL_DEVICE_MAX_CONSTANT_BUFFER_SIZE"], T.ULONG))
+        ref.set("major", 3)
+        ref.set("minor", 5)
+        ref.set("multiProcessorCount",
+                info(_C["CL_DEVICE_MAX_COMPUTE_UNITS"], T.UINT))
+        ref.set("memoryClockRate", 3004000)
+        ref.set("memoryBusWidth", 384)
+        ref.set("l2CacheSize",
+                info(_C["CL_DEVICE_GLOBAL_MEM_CACHE_SIZE"], T.ULONG))
+        ref.set("maxThreadsPerMultiProcessor", 2048)
+        return _K["cudaSuccess"]
 
-        @api
-        def cudaGetErrorString(err):
-            return env.intern_string(cuda_err_name(int(err)))
+    @api_entry
+    def cudaMemGetInfo(self, free_out, total_out):
+        # §3.7: no OpenCL counterpart exists — this wrapper cannot be
+        # implemented.  The analyzer rejects programs that reach here.
+        raise TranslationNotSupported(
+            CAT_NO_FUNC, "cudaMemGetInfo",
+            "OpenCL has no free/total memory query (§3.7)")
 
-        @api
-        def cudaGetDeviceCount(count_out):
-            count_out.mem.write_scalar(count_out.off, T.INT,
-                                       len(rt.fw.cl_devices))
-            return _K["cudaSuccess"]
+    # -- driver API wrappers (deviceQueryDrv): each attribute query is
+    # one clGetDeviceInfo call, like cudaGetDeviceProperties (6.3) ----
 
-        @api
-        def cudaSetDevice(dev):
-            return _K["cudaSuccess"]
+    @api_entry
+    def cuDeviceGetCount(self, count_out):
+        count_out.mem.write_scalar(count_out.off, T.INT,
+                                   len(self.fw.cl_devices))
+        return 0
 
-        @api
-        def cudaGetDevice(dev_out):
-            dev_out.mem.write_scalar(dev_out.off, T.INT, 0)
-            return _K["cudaSuccess"]
+    @api_entry
+    def cuDeviceGetName(self, name_out, maxlen, dev):
+        scratch = Memory("drv-scratch", 256)
+        self.fw.clGetDeviceInfo(self.fw.cl_devices[0], _C["CL_DEVICE_NAME"],
+                                256, Ptr(scratch, 0, T.CHAR), 0)
+        name_out.mem.write_cstring(name_out.off, scratch.read_cstring(0))
+        return 0
 
-        @api
-        def cudaGetDeviceProperties(prop_out, devno):
-            return rt._device_properties(prop_out)
+    @api_entry
+    def cuDeviceGetAttribute(self, val_out, attrib, dev):
+        scratch = Memory("drv-scratch", 16)
+        out = Ptr(scratch, 0, T.ULONG)
+        param = {
+            _K["CU_DEVICE_ATTRIBUTE_MAX_THREADS_PER_BLOCK"]:
+                _C["CL_DEVICE_MAX_WORK_GROUP_SIZE"],
+            _K["CU_DEVICE_ATTRIBUTE_MULTIPROCESSOR_COUNT"]:
+                _C["CL_DEVICE_MAX_COMPUTE_UNITS"],
+            _K["CU_DEVICE_ATTRIBUTE_WARP_SIZE"]:
+                _C["CL_DEVICE_PREFERRED_VECTOR_WIDTH_FLOAT"],
+        }.get(int(attrib))
+        if param is None:
+            # compute capability etc: synthesized, like the paper's
+            # wrapper fills cudaDeviceProp fields OpenCL cannot query
+            val = {_K["CU_DEVICE_ATTRIBUTE_COMPUTE_CAPABILITY_MAJOR"]: 3,
+                   _K["CU_DEVICE_ATTRIBUTE_COMPUTE_CAPABILITY_MINOR"]: 5,
+                   }.get(int(attrib), 0)
+        else:
+            # like cudaGetDeviceProperties, each attribute needs
+            # several clGetDeviceInfo round trips (availability check,
+            # vendor check, the value itself) — the deviceQueryDrv
+            # slowdown of §6.3
+            device = self.fw.cl_devices[0]
+            self.fw.clGetDeviceInfo(device, _C["CL_DEVICE_AVAILABLE"], 8,
+                                    out, 0)
+            self.fw.clGetDeviceInfo(device, _C["CL_DEVICE_VENDOR_ID"], 8,
+                                    out, 0)
+            self.fw.clGetDeviceInfo(device, param, 8, out, 0)
+            val = int(scratch.read_scalar(0, T.UINT))
+            if int(attrib) == _K["CU_DEVICE_ATTRIBUTE_WARP_SIZE"]:
+                val *= 8
+        val_out.mem.write_scalar(val_out.off, T.INT, val)
+        return 0
 
-        @api
-        def cudaMemGetInfo(free_out, total_out):
-            # §3.7: no OpenCL counterpart exists — this wrapper cannot be
-            # implemented.  The analyzer rejects programs that reach here.
+    @api_entry
+    def cuDeviceTotalMem(self, bytes_out, dev):
+        scratch = Memory("drv-scratch", 16)
+        self.fw.clGetDeviceInfo(self.fw.cl_devices[0],
+                                _C["CL_DEVICE_GLOBAL_MEM_SIZE"], 8,
+                                Ptr(scratch, 0, T.ULONG), 0)
+        bytes_out.mem.write_scalar(bytes_out.off, T.SIZE_T,
+                                   scratch.read_scalar(0, T.ULONG))
+        return 0
+
+    # -- textures (§5) --------------------------------------------------------
+
+    @api_entry
+    def cudaBindTexture(self, offset_out, tex, handle, *rest):
+        size = int(rest[-1]) if rest else 0
+        binding = self._binding(tex)
+        elem = binding.ttype.base.size or 4
+        width = max(1, size // elem)
+        maxw = self.spec.max_image2d[0]
+        if width > maxw:
             raise TranslationNotSupported(
-                CAT_NO_FUNC, "cudaMemGetInfo",
-                "OpenCL has no free/total memory query (§3.7)")
+                CAT_LANG,
+                "1D texture larger than the OpenCL 1D image limit",
+                f"{width} texels > {maxw} (§5; kmeans/leukocyte/"
+                "hybridsort fail this way)")
+        if not isinstance(handle, CLBuffer):
+            raise CudaApiError(_K["cudaErrorInvalidDevicePointer"],
+                               "cudaBindTexture needs a device buffer")
+        binding.source_buffer = handle
+        binding.elems = width
+        binding.image = None  # rebuilt at launch from the buffer
+        if isinstance(offset_out, Ptr):
+            offset_out.mem.write_scalar(offset_out.off, T.SIZE_T, 0)
+        return _K["cudaSuccess"]
 
-        # -- events / streams --------------------------------------------------
+    @api_entry
+    def cudaBindTexture2D(self, offset_out, tex, handle, *rest):
+        nums = [r for r in rest if isinstance(r, (int, float))]
+        if len(nums) < 3:
+            raise CudaApiError(_K["cudaErrorInvalidValue"],
+                               "cudaBindTexture2D needs w/h/pitch")
+        w, h = int(nums[-3]), int(nums[-2])
+        binding = self._binding(tex)
+        binding.ttype = T.TextureType(binding.ttype.base, 2,
+                                      binding.ttype.read_mode)
+        fmt = texture_format(binding.ttype.base)
+        img = self.fw._make_image(self.context, _C["CL_MEM_READ_ONLY"], 2,
+                                  (w, h), fmt)
+        if isinstance(handle, CLBuffer):
+            dev = self._queue().device
+            p = handle.ptr_on(dev)
+            img.image.upload(p.mem.read_bytes(p.off, img.size))
+        binding.image = img
+        binding.source_buffer = None
+        if isinstance(offset_out, Ptr):
+            offset_out.mem.write_scalar(offset_out.off, T.SIZE_T, 0)
+        return _K["cudaSuccess"]
 
-        @api
-        def cudaEventCreate(ev_out):
-            class _Ev:
-                time = 0.0
-            Ptr(ev_out.mem, ev_out.off, T.PointerType(T.VOID)).store(_Ev())
-            return _K["cudaSuccess"]
-
-        @api
-        def cudaEventRecord(ev, stream=0):
-            ev.time = rt.clock.elapsed
-            return _K["cudaSuccess"]
-
-        @api
-        def cudaEventSynchronize(ev):
-            return _K["cudaSuccess"]
-
-        @api
-        def cudaEventElapsedTime(ms_out, start, end):
-            ms_out.mem.write_scalar(ms_out.off, T.FLOAT,
-                                    (end.time - start.time) * 1e3)
-            return _K["cudaSuccess"]
-
-        @api
-        def cudaEventDestroy(ev):
-            return _K["cudaSuccess"]
-
-        @api
-        def cudaStreamCreate(s_out):
-            Ptr(s_out.mem, s_out.off, T.PointerType(T.VOID)).store(object())
-            return _K["cudaSuccess"]
-
-        @api
-        def cudaStreamSynchronize(s):
-            return _cl_ok(rt.cl["clFinish"](rt._queue()))
-
-        @api
-        def cudaStreamDestroy(s):
-            return _K["cudaSuccess"]
-
-        # -- driver API wrappers (deviceQueryDrv): each attribute query is
-        # one clGetDeviceInfo call, like cudaGetDeviceProperties (6.3) ----
-
-        @api
-        def cuInit(flags):
-            return 0
-
-        @api
-        def cuDeviceGetCount(count_out):
-            count_out.mem.write_scalar(count_out.off, T.INT,
-                                       len(rt.fw.cl_devices))
-            return 0
-
-        @api
-        def cuDeviceGet(dev_out, ordinal):
-            dev_out.mem.write_scalar(dev_out.off, T.INT, 0)
-            return 0
-
-        @api
-        def cuDeviceGetName(name_out, maxlen, dev):
-            from ...runtime.memory import Memory
-            scratch = Memory("drv-scratch", 256)
-            rt.cl["clGetDeviceInfo"](rt.fw.cl_devices[0],
-                                     _C["CL_DEVICE_NAME"], 256,
-                                     Ptr(scratch, 0, T.CHAR), 0)
-            name_out.mem.write_cstring(name_out.off, scratch.read_cstring(0))
-            return 0
-
-        @api
-        def cuDeviceGetAttribute(val_out, attrib, dev):
-            from ...runtime.memory import Memory
-            from ...cuda.enums import CUDA_CONSTANTS as KK
-            scratch = Memory("drv-scratch", 16)
-            out = Ptr(scratch, 0, T.ULONG)
-            param = {
-                KK["CU_DEVICE_ATTRIBUTE_MAX_THREADS_PER_BLOCK"]:
-                    _C["CL_DEVICE_MAX_WORK_GROUP_SIZE"],
-                KK["CU_DEVICE_ATTRIBUTE_MULTIPROCESSOR_COUNT"]:
-                    _C["CL_DEVICE_MAX_COMPUTE_UNITS"],
-                KK["CU_DEVICE_ATTRIBUTE_WARP_SIZE"]:
-                    _C["CL_DEVICE_PREFERRED_VECTOR_WIDTH_FLOAT"],
-            }.get(int(attrib))
-            if param is None:
-                # compute capability etc: synthesized, like the paper's
-                # wrapper fills cudaDeviceProp fields OpenCL cannot query
-                val = {KK["CU_DEVICE_ATTRIBUTE_COMPUTE_CAPABILITY_MAJOR"]: 3,
-                       KK["CU_DEVICE_ATTRIBUTE_COMPUTE_CAPABILITY_MINOR"]: 5,
-                       }.get(int(attrib), 0)
-            else:
-                # like cudaGetDeviceProperties, each attribute needs
-                # several clGetDeviceInfo round trips (availability check,
-                # vendor check, the value itself) — the deviceQueryDrv
-                # slowdown of §6.3
-                rt.cl["clGetDeviceInfo"](rt.fw.cl_devices[0],
-                                         _C["CL_DEVICE_AVAILABLE"], 8, out, 0)
-                rt.cl["clGetDeviceInfo"](rt.fw.cl_devices[0],
-                                         _C["CL_DEVICE_VENDOR_ID"], 8, out, 0)
-                rt.cl["clGetDeviceInfo"](rt.fw.cl_devices[0], param, 8,
-                                         out, 0)
-                val = int(scratch.read_scalar(0, T.UINT))
-                if int(attrib) == KK["CU_DEVICE_ATTRIBUTE_WARP_SIZE"]:
-                    val *= 8
-            val_out.mem.write_scalar(val_out.off, T.INT, val)
-            return 0
-
-        @api
-        def cuDeviceTotalMem(bytes_out, dev):
-            from ...runtime.memory import Memory
-            scratch = Memory("drv-scratch", 16)
-            rt.cl["clGetDeviceInfo"](rt.fw.cl_devices[0],
-                                     _C["CL_DEVICE_GLOBAL_MEM_SIZE"], 8,
-                                     Ptr(scratch, 0, T.ULONG), 0)
-            bytes_out.mem.write_scalar(bytes_out.off, T.SIZE_T,
-                                       scratch.read_scalar(0, T.ULONG))
-            return 0
-
-        @api
-        def cuDeviceComputeCapability(major_out, minor_out, dev):
-            major_out.mem.write_scalar(major_out.off, T.INT, 3)
-            minor_out.mem.write_scalar(minor_out.off, T.INT, 5)
-            return 0
-
-        # -- textures (§5) --------------------------------------------------------
-
-        @api
-        def cudaBindTexture(offset_out, tex, handle, *rest):
-            size = int(rest[-1]) if rest else 0
-            binding = rt._binding(tex)
-            elem = binding.ttype.base.size or 4
-            width = max(1, size // elem)
-            maxw = rt.spec.max_image2d[0]
-            if width > maxw:
-                raise TranslationNotSupported(
-                    CAT_LANG,
-                    "1D texture larger than the OpenCL 1D image limit",
-                    f"{width} texels > {maxw} (§5; kmeans/leukocyte/"
-                    "hybridsort fail this way)")
-            if not isinstance(handle, CLBuffer):
-                raise CudaApiError(_K["cudaErrorInvalidDevicePointer"],
-                                   "cudaBindTexture needs a device buffer")
-            binding.source_buffer = handle
-            binding.elems = width
-            binding.image = None  # rebuilt at launch from the buffer
-            if isinstance(offset_out, Ptr):
-                offset_out.mem.write_scalar(offset_out.off, T.SIZE_T, 0)
-            return _K["cudaSuccess"]
-
-        @api
-        def cudaBindTexture2D(offset_out, tex, handle, *rest):
-            nums = [r for r in rest if isinstance(r, (int, float))]
-            if len(nums) < 3:
-                raise CudaApiError(_K["cudaErrorInvalidValue"],
-                                   "cudaBindTexture2D needs w/h/pitch")
-            w, h = int(nums[-3]), int(nums[-2])
-            binding = rt._binding(tex)
-            binding.ttype = T.TextureType(binding.ttype.base, 2,
-                                          binding.ttype.read_mode)
-            fmt = _channel_format_for(binding.ttype)
-            img = rt.fw._make_image(rt.context, _C["CL_MEM_READ_ONLY"], 2,
-                                    (w, h), fmt)
-            if isinstance(handle, CLBuffer):
-                dev = rt._queue().device
-                p = handle.ptr_on(dev)
-                img.image.upload(p.mem.read_bytes(p.off, img.size))
-            binding.image = img
+    @api_entry
+    def cudaBindTextureToArray(self, tex, array, *rest):
+        binding = self._binding(tex)
+        if isinstance(array, CLImage):
+            binding.image = array
+            binding.ttype = T.TextureType(
+                binding.ttype.base, array.image.dims,
+                binding.ttype.read_mode)
             binding.source_buffer = None
-            if isinstance(offset_out, Ptr):
-                offset_out.mem.write_scalar(offset_out.off, T.SIZE_T, 0)
-            return _K["cudaSuccess"]
+        return _K["cudaSuccess"]
 
-        @api
-        def cudaBindTextureToArray(tex, array, *rest):
-            binding = rt._binding(tex)
-            if isinstance(array, CLImage):
-                binding.image = array
-                binding.ttype = T.TextureType(
-                    binding.ttype.base, array.image.dims,
-                    binding.ttype.read_mode)
-                binding.source_buffer = None
-            return _K["cudaSuccess"]
+    @api_entry
+    def cudaUnbindTexture(self, tex):
+        binding = self._binding(tex)
+        binding.image = None
+        binding.source_buffer = None
+        return _K["cudaSuccess"]
 
-        @api
-        def cudaUnbindTexture(tex):
-            binding = rt._binding(tex)
-            binding.image = None
-            binding.source_buffer = None
-            return _K["cudaSuccess"]
+    @api_entry
+    def cudaMallocArray(self, arr_out, desc, width, height=0, flags=0):
+        fmt = format_from_desc(desc)
+        h = int(height)
+        img = self.fw._make_image(self.context, _C["CL_MEM_READ_ONLY"],
+                                  2 if h > 0 else 1,
+                                  (int(width), h) if h > 0 else (int(width),),
+                                  fmt)
+        _store_handle(arr_out, img)
+        return _K["cudaSuccess"]
 
-        @api
-        def cudaMallocArray(arr_out, desc, width, height=0, flags=0):
-            fmt = _format_from_desc(desc)
-            h = int(height)
-            img = rt.fw._make_image(rt.context, _C["CL_MEM_READ_ONLY"],
-                                    2 if h > 0 else 1,
-                                    (int(width), h) if h > 0 else (int(width),),
-                                    fmt)
-            Ptr(arr_out.mem, arr_out.off, T.PointerType(T.VOID)).store(img)
-            return _K["cudaSuccess"]
-
-        @api
-        def cudaMemcpyToArray(array, woff, hoff, src, count, kind=None):
-            array.image.upload(src.mem.read_bytes(src.off, int(count)))
-            rt.clock.charge_transfer(int(count), rt.spec)
-            return _K["cudaSuccess"]
-
-        @api
-        def cudaFreeArray(array):
-            return _K["cudaSuccess"]
-
-        @api
-        def cudaCreateChannelDesc(x, y, z, w, f):
-            from ...clike.dialect import CUDA
-            st = CUDA.typedefs["cudaChannelFormatDesc"]
-            off = env.stack.alloc(st.size, st.align)
-            ref = StructRef(env.stack.mem, off, st)
-            for nm, val in zip("xyzw", (x, y, z, w)):
-                ref.set(nm, int(val))
-            ref.set("f", int(f))
-            return ref
-
-        # -- __c2o_* glue used by statically translated code ----------------------
-
-        def __c2o_set_dims(gws_ptr, lws_ptr, grid, block):
-            from ...cuda.runtime import dim3_tuple
-            g = dim3_tuple(grid)
-            b = dim3_tuple(block)
-            for i in range(3):
-                gws_ptr.mem.write_scalar(gws_ptr.off + 8 * i, T.SIZE_T,
-                                         g[i] * b[i])
-                lws_ptr.mem.write_scalar(lws_ptr.off + 8 * i, T.SIZE_T, b[i])
-            return None
-
-        def __c2o_tex_image(binding):
-            return rt._materialize_image(binding)
-
-        def __c2o_tex_sampler(binding):
-            return CLSampler(binding.sampler)
-
-        table["__c2o_set_dims"] = __c2o_set_dims
-        table["__c2o_tex_image"] = __c2o_tex_image
-        table["__c2o_tex_sampler"] = __c2o_tex_sampler
-        return table
+    @api_entry
+    def cudaMemcpyToArray(self, array, woff, hoff, src, count, kind=None):
+        array.image.upload(src.mem.read_bytes(src.off, int(count)))
+        self.clock.charge_transfer(int(count), self.spec)
+        return _K["cudaSuccess"]
 
     # -- internals ------------------------------------------------------------------
 
@@ -582,7 +466,7 @@ class Cuda2OclRuntime:
         if binding.source_buffer is None:
             raise CudaApiError(_K["cudaErrorInvalidTexture"],
                                f"texture {binding.name!r} is unbound")
-        fmt = _channel_format_for(binding.ttype)
+        fmt = texture_format(binding.ttype.base)
         img = self.fw._make_image(self.context, _C["CL_MEM_READ_ONLY"], 1,
                                   (binding.elems,), fmt)
         dev = self._queue().device
@@ -593,83 +477,22 @@ class Cuda2OclRuntime:
         binding.image = img
         return img
 
-    def _device_properties(self, prop_out: Ptr) -> int:
-        """cudaGetDeviceProperties over many clGetDeviceInfo calls — the
-        deviceQuery slowdown of §6.3."""
-        from ...clike.dialect import CUDA
-        prop_t = CUDA.typedefs["cudaDeviceProp"]
-        dev = self.fw.cl_devices[0]
-        scratch = Ptr(prop_out.mem, prop_out.off, prop_t)
-        ref = StructRef(prop_out.mem, prop_out.off, prop_t)
 
-        tmp_mem = prop_out.mem
-        tmp_off = prop_out.off + prop_t.size  # scratch right after (caller
-        # allocated only the struct; use env-independent small buffer)
-        import numpy as _np
-        from ...runtime.memory import Memory
-        scratch_mem = Memory("devprop-scratch", 512)
-        out = Ptr(scratch_mem, 0, T.ULONG)
+# -- __c2o_* glue used by statically translated code ----------------------------
 
-        def info(param: int, st: T.ScalarType) -> int:
-            self.cl["clGetDeviceInfo"](dev, param, 8, out, 0)
-            return int(scratch_mem.read_scalar(0, st))
+def _set_dims(gws_ptr: Ptr, lws_ptr: Ptr, grid: Any, block: Any) -> None:
+    g = dim3_tuple(grid)
+    b = dim3_tuple(block)
+    for i in range(3):
+        gws_ptr.mem.write_scalar(gws_ptr.off + 8 * i, T.SIZE_T, g[i] * b[i])
+        lws_ptr.mem.write_scalar(lws_ptr.off + 8 * i, T.SIZE_T, b[i])
 
-        # name
-        self.cl["clGetDeviceInfo"](dev, _C["CL_DEVICE_NAME"], 256,
-                                   Ptr(scratch_mem, 0, T.CHAR), 0)
-        name = scratch_mem.read_cstring(0)
-        prop_out.mem.write_cstring(
-            prop_out.off + prop_t.field_offset("name"), name)
 
-        ref.set("totalGlobalMem", info(_C["CL_DEVICE_GLOBAL_MEM_SIZE"], T.ULONG))
-        ref.set("sharedMemPerBlock", info(_C["CL_DEVICE_LOCAL_MEM_SIZE"], T.ULONG))
-        ref.set("regsPerBlock", 65536)
-        ref.set("warpSize",
-                info(_C["CL_DEVICE_PREFERRED_VECTOR_WIDTH_FLOAT"], T.UINT) * 8)
-        ref.set("maxThreadsPerBlock",
-                info(_C["CL_DEVICE_MAX_WORK_GROUP_SIZE"], T.SIZE_T))
-        for i in range(3):
-            base = prop_out.off + prop_t.field_offset("maxThreadsDim")
-            prop_out.mem.write_scalar(
-                base + 4 * i, T.INT,
-                info(_C["CL_DEVICE_MAX_WORK_GROUP_SIZE"], T.SIZE_T))
-            base = prop_out.off + prop_t.field_offset("maxGridSize")
-            prop_out.mem.write_scalar(base + 4 * i, T.INT, 65535)
-        ref.set("clockRate",
-                info(_C["CL_DEVICE_MAX_CLOCK_FREQUENCY"], T.UINT) * 1000)
-        ref.set("totalConstMem",
-                info(_C["CL_DEVICE_MAX_CONSTANT_BUFFER_SIZE"], T.ULONG))
-        ref.set("major", 3)
-        ref.set("minor", 5)
-        ref.set("multiProcessorCount",
-                info(_C["CL_DEVICE_MAX_COMPUTE_UNITS"], T.UINT))
-        ref.set("memoryClockRate", 3004000)
-        ref.set("memoryBusWidth", 384)
-        ref.set("l2CacheSize",
-                info(_C["CL_DEVICE_GLOBAL_MEM_CACHE_SIZE"], T.ULONG))
-        ref.set("maxThreadsPerMultiProcessor", 2048)
-        return _K["cudaSuccess"]
+def _tex_sampler(binding: TexBinding) -> CLSampler:
+    return CLSampler(binding.sampler)
 
 
 def _cl_ok(err: int) -> int:
     if err != _C["CL_SUCCESS"]:
         raise OclError(err, "wrapped OpenCL call failed")
     return _K["cudaSuccess"]
-
-
-def _format_from_desc(desc: Any) -> ChannelFormat:
-    if isinstance(desc, StructRef):
-        bits = [int(desc.get(c)) for c in "xyzw"]
-        kind = int(desc.get("f"))
-        channels = sum(1 for b in bits if b > 0)
-        order = {1: "R", 2: "RG", 3: "RGB", 4: "RGBA"}.get(channels, "R")
-        x = bits[0] or 32
-        if kind == _K["cudaChannelFormatKindFloat"]:
-            dtype = "FLOAT"
-        elif kind == _K["cudaChannelFormatKindSigned"]:
-            dtype = {8: "SIGNED_INT8", 16: "SIGNED_INT16"}.get(x, "SIGNED_INT32")
-        else:
-            dtype = {8: "UNSIGNED_INT8", 16: "UNSIGNED_INT16"}.get(
-                x, "UNSIGNED_INT32")
-        return ChannelFormat(order, dtype)
-    return ChannelFormat("R", "FLOAT")

@@ -15,6 +15,7 @@ from repro.apps.base import all_apps, get_app
 from repro.clike import parse
 from repro.errors import LexError, TranslationNotSupported
 from repro.pipeline import TranslationJob, translate_many
+from repro.translate.analyzer import analyze_cuda_source
 from repro.translate.api import (translate_cuda_program,
                                  translate_opencl_program)
 from repro.translate.categories import (ALL_CATEGORIES, CAT_LANG, CAT_LIBS,
@@ -81,6 +82,28 @@ def test_located_diagnostic_points_at_offending_token():
         ln for ln in rendered.splitlines() if " | " in ln]
     pos = snippet_line.index("warpSize")
     assert caret_line[pos] == "^"
+
+
+#: device printf calls and where the finding must point: at the callee
+CALL_FINDINGS = [
+    ('__global__ void k(int* o) {\n  printf("%d", o[0]);\n}', (2, 3)),
+    # split across lines: the callee's line, not the closing parenthesis's
+    ('__global__ void k(int* o) {\n  printf("%d",\n         o[0]);\n}',
+     (2, 3)),
+    (get_app("toolkit", "simplePrintf").cuda_source, (3, 3)),
+]
+
+
+@pytest.mark.parametrize("src,loc", CALL_FINDINGS,
+                         ids=["one-line", "split", "simplePrintf"])
+def test_call_finding_is_located_at_the_callee(src, loc):
+    findings = analyze_cuda_source(src)
+    assert [(f.feature, (f.line, f.col)) for f in findings] == [
+        ("printf", loc)]
+    with pytest.raises(TranslationNotSupported) as exc:
+        translate_cuda_program(src, cache=None)
+    assert (exc.value.feature, (exc.value.line, exc.value.col)) == (
+        "printf", loc)
 
 
 #: corpus apps the translatability check rejects, with the feature it
