@@ -158,11 +158,16 @@ def check_fault_pass(serial, faulted, plan) -> int:
 #: memory, and (FT) multi-kernel launches — small enough to run in seconds.
 #: hybridsort (atomics in both dialects) and BlackScholes (sqrtf/expf)
 #: make builtin calls from generated kernels; matrixMul and oclMatrixMul
-#: bind array types in both sections of their generated modules
+#: bind array types in both sections of their generated modules; srad's
+#: srad2 trips the vector tier's cross-lane hazard guard, hotspot's
+#: guarded loads sit in varying conditionals' arms and bfs's in a varying
+#: ``&&``'s rhs
 EXEC_SMOKE_APPS = (("npb", "FT"), ("rodinia", "gaussian"),
                    ("rodinia", "nw"), ("toolkit", "vectorAdd"),
                    ("rodinia", "hybridsort"), ("toolkit", "BlackScholes"),
-                   ("toolkit", "matrixMul"), ("toolkit", "oclMatrixMul"))
+                   ("toolkit", "matrixMul"), ("toolkit", "oclMatrixMul"),
+                   ("rodinia", "srad"), ("rodinia", "hotspot"),
+                   ("rodinia", "bfs"))
 
 #: RunResult fields compared across execution tiers
 EXEC_FIELDS = ("ok", "exit_code", "stdout", "sim_time", "breakdown",

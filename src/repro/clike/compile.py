@@ -99,6 +99,9 @@ class CompiledSource:
     vector_source: str = ""
     vector_kernel_names: List[str] = field(default_factory=list)
     vector_fallbacks: Dict[str, str] = field(default_factory=dict)
+    #: vectorized kernel -> its ``vectorize.HazardMap``, which names the
+    #: access sites the engine's cross-lane hazard guard records
+    vector_hazards: Dict[str, Any] = field(default_factory=dict)
     code: Any = None
     vector_code: Any = None
 
@@ -781,7 +784,9 @@ class _UnitCodegen:
                 cs.vector_fallbacks[fn.name] = f"scalar fallback: {why}"
                 continue
             try:
-                chunks.append(_VecFnCodegen(self, fn).emit())
+                gen = _VecFnCodegen(self, fn)
+                chunks.append(gen.emit())
+                cs.vector_hazards[fn.name] = gen.hazards()
                 cs.vector_kernel_names.append(fn.name)
             except CompileUnsupported as exc:
                 cs.vector_fallbacks[fn.name] = str(exc)

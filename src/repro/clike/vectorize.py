@@ -6,7 +6,7 @@ that tier's emitter core (``compile._CoreCodegen``), writes *eligible*
 kernels into the same artifact's warp section: one generator per
 **warp** (``_W_<kernel>``), where every statement executes all active
 lanes at once over numpy arrays — vectorized loads/stores via
-gather/scatter, arithmetic over ``int64``/``float64`` lanes, and masked
+gather/scatter, arithmetic over integer and ``float64`` lanes, and masked
 active-sets for uniformly-nested divergent branches.  The core writes
 everything a uniform value needs, with the scalar tier's exact text;
 this module adds what varying lanes need, plus their runtime helpers.
@@ -22,14 +22,33 @@ modeled kernel time.  Two deliberate relaxations keep batching possible:
   cross-lane ordering, so a batched access appends to every active
   lane's trace in one sweep.
 
+Batching does reorder memory accesses *across* lanes: a warp runs one
+statement for all its lanes where the scalar tiers run each lane to its
+next barrier.  Each kernel's :class:`HazardMap` marks the access sites
+where that can matter, and the engine's cross-lane hazard guard records
+them, undoes a launch whose warps reordered two conflicting accesses and
+re-runs it on the scalar tier (:meth:`WarpEnv.check_interval`).
+
 Everything the tier cannot mirror exactly raises
 :class:`~repro.clike.compile.CompileUnsupported` for that kernel and the
 engine demotes it to the scalar compiled form (and from there to the
 interpreter) — the ``vector -> compiled -> interp`` ladder.  Demotion is
-static and per kernel, recorded in ``CompiledSource.vector_fallbacks``.
+static and per kernel, recorded in ``CompiledSource.vector_fallbacks``,
+except for the hazard guard's, which happens at run time.
+
+The subset covers every scalar type, uniform pointer registers and
+``*p``, and varying conditionals and ``&&``/``||`` whose operand has
+effects: that operand runs as hoisted lines on the lanes selecting it
+(only when nothing with effects ran earlier in the statement and no
+inline conditional encloses it, so the interpreter's evaluation order
+holds).
 
 Numeric fidelity notes (all mirrored, not approximated):
 
+* integer lanes hold the interpreter's exact values: ``int64`` while
+  every value fits, exact Python ints in an object array otherwise
+  (unsigned 64-bit values at or past 2**63; never ``float64``, to which
+  numpy promotes an int64/uint64 mix);
 * float64 lane math is IEEE-identical to Python float math;
 * ``float`` / ``half`` coercions round through float64 first (two-step,
   matching ``_f32``/``_f16``);
@@ -40,7 +59,8 @@ Numeric fidelity notes (all mirrored, not approximated):
   object-dtype path, then re-wrap to the annotated width;
 * stores with duplicate target offsets within a warp and loads/stores
   that fault fall back to sequential lane order so last-wins races and
-  the first faulting lane match the scalar tiers.
+  the first faulting lane match the scalar tiers; offsets are computed
+  exactly, so an index past int64 faults like the interpreter.
 """
 
 from __future__ import annotations
@@ -50,7 +70,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..errors import InterpError
+from ..errors import CrossLaneHazard, InterpError
 from ..runtime.memory import Memory
 from ..runtime.values import Ptr
 from . import ast as A
@@ -61,10 +81,11 @@ from .interp import _apply_binop, _c_div, _c_mod, _truth
 from .sema import resolve_conversion
 from .stdlib import NAMED_CONSTANTS
 
-__all__ = ["WarpEnv", "WARP_HELPERS"]
+__all__ = ["WarpEnv", "WARP_HELPERS", "HazardMap"]
 
 _I8 = np.dtype(np.int64)
 _F8 = np.dtype(np.float64)
+_U8 = np.dtype("<u8")
 
 #: little-endian element dtypes per scalar name (matches memory's packing)
 _DTYPES: Dict[str, np.dtype] = {
@@ -72,7 +93,8 @@ _DTYPES: Dict[str, np.dtype] = {
     "uchar": np.dtype("<u1"), "short": np.dtype("<i2"),
     "ushort": np.dtype("<u2"), "int": np.dtype("<i4"),
     "uint": np.dtype("<u4"), "long": np.dtype("<i8"),
-    "longlong": np.dtype("<i8"), "half": np.dtype("<f2"),
+    "ulong": _U8, "longlong": np.dtype("<i8"), "ulonglong": _U8,
+    "size_t": _U8, "half": np.dtype("<f2"),
     "float": np.dtype("<f4"), "double": np.dtype("<f8"),
 }
 
@@ -81,6 +103,8 @@ _R = {n: np.arange(n, dtype=np.int64) for n in (1, 2, 4, 8)}
 
 _INT64_MAX_F = 9.223372036854775e18
 _INT64_MIN = -(1 << 63)
+_INT64_END = 1 << 63
+_M64 = (1 << 64) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +122,8 @@ class WarpEnv:
     """
 
     __slots__ = ("launch", "group", "lo", "hi", "n", "lids", "_tc",
-                 "lid0", "lid1", "lid2", "gid0", "gid1", "gid2")
+                 "lid0", "lid1", "lid2", "gid0", "gid1", "gid2",
+                 "hz", "hzlog", "undo")
 
     def __init__(self, launch: Any, group: Tuple[int, int, int],
                  lo: int, hi: int) -> None:
@@ -107,6 +132,12 @@ class WarpEnv:
         self.lo = lo
         self.hi = hi
         self.n = hi - lo
+        #: access sites the cross-lane hazard guard records (empty: the
+        #: launch is unguarded), this barrier interval's records, and the
+        #: launch's undo log of global stores (None when unguarded)
+        self.hz = launch.hazard_sites
+        self.hzlog: List[_Rec] = []
+        self.undo = launch.undo
         bx, by, _bz = launch.block
         lin = np.arange(lo, hi, dtype=np.int64)
         self.lids = lin.tolist()  # linear ids, for full-warp trace sweeps
@@ -206,6 +237,123 @@ class WarpEnv:
                 d[site] = seq = []
             seq.append((off, nbytes))
 
+    # -- cross-lane hazard guard ---------------------------------------------
+
+    def guard(self, mem: Memory, offs: np.ndarray, esz: int, site: int,
+              store: bool, al: np.ndarray,
+              wire: Optional[np.ndarray] = None) -> None:
+        """Record one batched access for the guard: a marked site's lanes,
+        offsets and stored element values (``wire``; None for a store
+        whose values are not known yet), and a store's old global bytes
+        for the undo log."""
+        if site in self.hz:
+            self.hzlog.append((site, mem, offs, al, esz, store, wire))
+        if store and mem.space is not _SPL and len(offs):
+            idx = offs[:, None] + _R[esz]
+            self.undo.append((mem, idx, mem.buf[idx]))
+
+    def check_interval(self) -> None:
+        """End of a barrier interval: raise :class:`CrossLaneHazard` when
+        a lower lane's recorded access to a byte another lane accessed
+        came later in batched order, one of them a store."""
+        log = self.hzlog
+        if log:
+            self.hzlog = []
+            site = _inversion(log)
+            if site is not None:
+                raise CrossLaneHazard(self.launch.hazard_names[site])
+
+
+#: one guarded access: site, memory, offsets, lane positions, element
+#: size, store flag, stored element values (None: unknown)
+_Rec = Tuple[int, Memory, np.ndarray, np.ndarray, int, bool,
+             Optional[np.ndarray]]
+
+
+def _inversion(log: List[_Rec]) -> Optional[int]:
+    """The site of a conflicting access that batching reordered, or None.
+
+    Record ``t`` of ``log`` ran before record ``t + 1``; inside one
+    record the lanes ran in lane order.  Keyed by byte (by element when
+    every record has one element size and alignment), an access by lane
+    ``k`` inverts when an earlier record accessed its byte from a lane
+    above ``k`` and one of the two accesses is a store.  Two stores of
+    the same value to a byte that no store writes otherwise leave memory
+    as lane order would, and do not count."""
+    if len(log) < 2 or not any(r[5] for r in log):
+        return None
+    mems: Dict[int, int] = {}
+    esz0 = log[0][4]
+    res0 = int(log[0][2][0]) % esz0 if len(log[0][2]) else 0
+    bytewise = any(r[4] != esz0 or (len(r[2]) and int(r[2][0]) % esz0 != res0)
+                   for r in log)
+    if not bytewise:
+        # prefilter, linear in the accesses: no element is stored by two
+        # records, or stored by one and loaded by another
+        stored: Dict[Tuple[int, int], int] = {}
+        for t, r in enumerate(log):
+            if r[5]:
+                m = id(r[1])
+                for off in set(r[2].tolist()):
+                    stored[(m, off)] = t if (m, off) not in stored else -1
+        if -1 not in stored.values() and not any(
+                (id(r[1]), off) in stored
+                for r in log if not r[5] for off in r[2].tolist()):
+            return None
+    keys, lanes, ts, stores, sites, vals = [], [], [], [], [], []
+    for t, (site, mem, offs, al, esz, store, wire) in enumerate(log):
+        base = mems.setdefault(id(mem), len(mems)) << 40
+        if bytewise:
+            k = (offs[:, None] + _R[esz]).ravel() + base
+            ln = np.repeat(al, esz)
+            v = None if wire is None else wire.view(np.uint8).astype(_I8)
+        else:
+            k = offs + base
+            ln = al
+            v = None if wire is None else \
+                wire.view(f"<u{esz}").astype(_I8)
+        keys.append(k)
+        lanes.append(ln)
+        ts.append(np.full(len(k), t, dtype=_I8))
+        stores.append(np.full(len(k), store))
+        sites.append(np.full(len(k), site, dtype=_I8))
+        # loads carry no value; a store of unknown values one that no
+        # other store matches
+        vals.append(v if v is not None else np.full(len(k), -1 - store,
+                                                    dtype=_I8))
+    key = np.concatenate(keys)
+    st = np.concatenate(stores)
+    sel = np.isin(key, key[st])
+    key = key[sel]
+    if len(key) < 2:
+        return None
+    order = np.lexsort((np.concatenate(lanes)[sel], np.concatenate(ts)[sel],
+                        key))
+    key = key[order]
+    lane = np.concatenate(lanes)[sel][order]
+    st = st[sel][order]
+    val = np.concatenate(vals)[sel][order]
+    site = np.concatenate(sites)[sel][order]
+    first = np.r_[True, key[1:] != key[:-1]]
+    grp = np.cumsum(first) - 1
+    tagged = (grp << 20) + lane
+    starts = np.flatnonzero(first)
+    # whether every store of the byte wrote one known value
+    sv_lo = np.minimum.reduceat(np.where(st, val, _INT64_END - 1), starts)
+    sv_hi = np.maximum.reduceat(np.where(st, val, -1), starts)
+    same = ((sv_lo == sv_hi) & (sv_lo >= 0))[grp]
+    # highest lane among the earlier loads / stores of the same byte, or
+    # below the group's tag when there is none
+    prev_ld = np.r_[-1, np.maximum.accumulate(
+        np.where(st, -1, tagged))[:-1]]
+    prev_st = np.r_[-1, np.maximum.accumulate(
+        np.where(st, tagged, -1))[:-1]]
+    inv = np.where(st, (prev_ld > tagged) | ((prev_st > tagged) & ~same),
+                   prev_st > tagged)
+    if not inv.any():
+        return None
+    return int(site[int(np.argmax(inv))])
+
 
 # resolved late to avoid importing the engine at module import time
 _SPG = T.AddressSpace.GLOBAL
@@ -282,11 +430,89 @@ def _vcond(c: Any, g: np.ndarray, x: Any, fx: int, ix: int,
     return np.where(ga, x, y)
 
 
+def _vsel(m: np.ndarray, x: Any, y: Any, n: int, dt: np.dtype) -> np.ndarray:
+    """Merge a varying conditional's arms, each evaluated only on the
+    lanes that select it (``None``: no lane did), over ``n`` lanes."""
+    if _isobj(x) or _isobj(y):
+        dt = np.dtype(object)
+    r = np.empty(n, dtype=dt)
+    if x is not None:
+        r[m] = x
+    if y is not None:
+        r[~m] = y
+    return r
+
+
+def _vlog(m: np.ndarray, t: Any, conj: bool) -> np.ndarray:
+    """Varying ``a && b`` (``conj``) or ``a || b`` whose rhs ``t`` was
+    evaluated only on the lanes the lhs mask ``m`` did not decide."""
+    r = m.astype(_I8)
+    if t is not None:
+        tt = t != 0 if isinstance(t, np.ndarray) else bool(_truth(t))
+        if conj:
+            r[m] = tt
+        else:
+            r[~m] = tt
+    return r
+
+
+# -- exact integer lanes: int64 while every value fits, object otherwise ----
+
+def _isobj(v: Any) -> bool:
+    """Whether ``v`` needs object lanes: an object array, or a Python int
+    outside int64."""
+    if isinstance(v, np.ndarray):
+        return v.dtype == object
+    return type(v) is int and not _INT64_MIN <= v < _INT64_END
+
+
+def _lanes(vals: List[int]) -> np.ndarray:
+    """Exact int lane values: int64 when every value fits, else object."""
+    try:
+        return np.array(vals, dtype=_I8)
+    except OverflowError:
+        return np.array(vals, dtype=object)
+
+
+def _vbig(x: Any) -> Any:
+    """A uniform int outside int64 as a 0-d object array, so lane
+    arithmetic with it stays exact (numpy raises ``OverflowError`` when
+    such an int meets int64 lanes, and may wrap it in ``np.where``)."""
+    if type(x) is int and not _INT64_MIN <= x < _INT64_END:
+        return np.array(x, dtype=object)
+    return x
+
+
+def _vu64(x: Any) -> Any:
+    """Wrap lane values to unsigned 64-bit, exactly: int64 lanes while
+    every value is below 2**63, object lanes otherwise."""
+    if not isinstance(x, np.ndarray):
+        return int(x) & _M64
+    if x.dtype == object:
+        if x.ndim == 0:
+            return int(x.item()) & _M64
+        return _lanes([int(v) & _M64 for v in x.tolist()])
+    if x.size and int(x.min()) < 0:
+        return np.array([v & _M64 for v in x.tolist()], dtype=object)
+    return x
+
+
+def _vput(reg: np.ndarray, al: np.ndarray, v: Any) -> np.ndarray:
+    """``reg[al] = v`` on an unsigned 64-bit register array, moved to
+    object lanes first when ``v`` needs them."""
+    if reg.dtype != object and _isobj(v):
+        reg = reg.astype(object)
+    reg[al] = v
+    return reg
+
+
 def _vix(x: Any) -> Any:
     """Lane-wise C int cast (truncation), with the interpreter's exact
     error behaviour for non-finite floats and exact big-int results."""
     if isinstance(x, np.ndarray):
         if x.dtype == object:
+            if x.ndim == 0:
+                return np.array(int(x.item()), dtype=object)
             return np.array([int(v) for v in x.tolist()], dtype=object)
         if x.dtype.kind == "f":
             if not np.isfinite(x).all():
@@ -303,8 +529,6 @@ def _vix(x: Any) -> Any:
 def _vfl(x: Any) -> Any:
     """Lane-wise C double cast."""
     if isinstance(x, np.ndarray):
-        if x.dtype == object:
-            return np.array([float(v) for v in x.tolist()], dtype=_F8)
         if x.dtype.kind == "f":
             return x
         return x.astype(_F8)
@@ -342,8 +566,8 @@ def _vshl(a: Any, b: Any) -> Any:
     object-dtype path (re-wrapped by the annotated result width)."""
     if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
         return int(a) << int(b)
-    aa = np.asarray(a)
-    bb = np.asarray(b)
+    aa = np.asarray(_vbig(a))
+    bb = np.asarray(_vbig(b))
     if aa.dtype == object or bb.dtype == object:
         return _shl_exact(aa, bb, max(aa.size, bb.size))
     bmax = int(bb.max())
@@ -384,8 +608,8 @@ def _vdvi(a: Any, b: Any) -> Any:
     quotient 2**63 leaves int64, takes the exact object-dtype path."""
     if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
         return _c_div(a, b)
-    aa = np.asarray(a)
-    bb = np.asarray(b)
+    aa = np.asarray(_vbig(a))
+    bb = np.asarray(_vbig(b))
     if (bb == 0).any():
         raise InterpError("integer division by zero")
     if ((aa == _INT64_MIN) & (bb == -1)).any():
@@ -418,6 +642,7 @@ def _vmdf(a: Any, b: Any) -> Any:
 def _vmdi(a: Any, b: Any) -> Any:
     if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
         return _c_mod(a, b)
+    a, b = _vbig(a), _vbig(b)
     bb = np.asarray(b)
     if (bb == 0).any():
         raise InterpError("integer modulo by zero")
@@ -427,6 +652,7 @@ def _vmdi(a: Any, b: Any) -> Any:
 def _vab(op: str, a: Any, b: Any) -> Any:
     """Uncounted compound-assign apply step over lanes (the vector twin of
     ``_apply_code``; operand kinds were statically checked as scalar)."""
+    a, b = _vbig(a), _vbig(b)
     if op == "+":
         return a + b
     if op == "-":
@@ -458,28 +684,34 @@ def _own(v: Any, n: int, dt: np.dtype) -> np.ndarray:
     """Materialize a full-warp register array the variable owns."""
     if isinstance(v, np.ndarray):
         if v.dtype == object:
-            return v.copy()
+            return v.astype(_F8) if dt is _F8 else _lanes(v.tolist())
         return v.astype(dt, copy=True)
+    if _isobj(v):
+        return np.full(n, v, dtype=object)
     return np.full(n, v, dtype=dt)
 
 
-def _offsets(p: Ptr, i: Any, al: np.ndarray, esz: int) -> np.ndarray:
-    if isinstance(i, np.ndarray):
-        if i.dtype != _I8:
-            i = np.array([int(v) for v in i.tolist()], dtype=_I8) \
-                if i.dtype == object else i.astype(_I8)
-        return p.off + i * esz
-    return np.full(len(al), p.off + int(i) * esz, dtype=_I8)
-
-
-def _check_bounds(mem: Memory, offs: np.ndarray, esz: int) -> None:
-    if len(offs) == 0:
-        return
-    lo = int(offs.min())
-    hi = int(offs.max()) + esz
-    if lo < 0 or hi > mem._size:
-        for off in offs.tolist():
-            mem._check(off, esz)  # first faulting lane, in lane order
+def _offsets(p: Ptr, i: Any, n: int, esz: int) -> np.ndarray:
+    """Byte offsets of ``p[i]`` on ``n`` active lanes, bounds-checked:
+    the first out-of-bounds lane, in lane order, raises the interpreter's
+    ``MemoryFault``.  Offsets are computed exactly, so an index past
+    int64 faults instead of wrapping."""
+    mem = p.mem
+    off = p.off
+    if not isinstance(i, np.ndarray):
+        o = off + int(i) * esz
+        if n and (o < 0 or o + esz > mem._size):
+            mem._check(o, esz)
+        return np.full(n, o, dtype=_I8)
+    if i.dtype != _I8:
+        i = _lanes(i.tolist()) if i.dtype == object else i.astype(_I8)
+    if len(i):
+        lo = off + int(i.min()) * esz
+        hi = off + int(i.max()) * esz + esz
+        if lo < 0 or hi > mem._size:
+            for v in i.tolist():
+                mem._check(off + v * esz, esz)  # first faulting lane
+    return off + i * esz
 
 
 _LOG2 = {1: 0, 2: 1, 4: 2, 8: 3}
@@ -500,6 +732,8 @@ def _gather(mem: Memory, offs: np.ndarray, esz: int, dt: np.dtype,
         vals = mem.buf[offs[:, None] + _R[esz]].view(dt).ravel()
     if dt.kind == "f":
         return vals.astype(_F8)
+    if dt is _U8 and len(vals) and int(vals.max()) >= _INT64_END:
+        return np.array(vals.tolist(), dtype=object)
     return vals.astype(_I8)
 
 
@@ -518,7 +752,7 @@ def _towire(v: Any, n: int, dt: np.dtype, esz: int) -> np.ndarray:
         if iv.dtype == object:
             m = (1 << (8 * esz)) - 1
             h = 1 << (8 * esz - 1)
-            out = [int(x) & m for x in iv.tolist()]
+            out = [int(x) & m for x in np.broadcast_to(iv, (n,)).tolist()]
             if dt.kind == "i":
                 out = [x - (m + 1) if x >= h else x for x in out]
             return np.array(out, dtype=dt)
@@ -534,10 +768,11 @@ def _towire(v: Any, n: int, dt: np.dtype, esz: int) -> np.ndarray:
 def _vldix(env: WarpEnv, p: Ptr, i: Any, al: np.ndarray, esz: int,
            dt: np.dtype, site: int) -> np.ndarray:
     """Batched ``p[i]`` rvalue over the active lanes."""
-    offs = _offsets(p, i, al, esz)
+    offs = _offsets(p, i, len(al), esz)
     mem = p.mem
     env.vaccess(mem, offs, esz, site, True, al)
-    _check_bounds(mem, offs, esz)
+    if env.hz:
+        env.guard(mem, offs, esz, site, False, al)
     if len(offs) == 0:
         return np.empty(0, dtype=_F8 if dt.kind == "f" else _I8)
     return _gather(mem, offs, esz, dt, not p.off & (esz - 1))
@@ -570,12 +805,13 @@ def _scatter(mem: Memory, offs: np.ndarray, wire: np.ndarray,
 def _vstix(env: WarpEnv, p: Ptr, i: Any, v: Any, al: np.ndarray, esz: int,
            dt: np.dtype, site: int) -> Any:
     """Batched ``p[i] = v``; returns the raw rhs (statement discards)."""
-    offs = _offsets(p, i, al, esz)
+    offs = _offsets(p, i, len(al), esz)
     mem = p.mem
     env.vaccess(mem, offs, esz, site, False, al)
-    _check_bounds(mem, offs, esz)
-    _scatter(mem, offs, _towire(v, len(offs), dt, esz), esz,
-             not p.off & (esz - 1))
+    wire = _towire(v, len(offs), dt, esz)
+    if env.hz:
+        env.guard(mem, offs, esz, site, True, al, wire)
+    _scatter(mem, offs, wire, esz, not p.off & (esz - 1))
     return v
 
 
@@ -584,11 +820,14 @@ def _vstixc(env: WarpEnv, p: Ptr, i: Any, op: str, v: Any, al: np.ndarray,
     """Batched ``p[i] op= v``: load-hook + gather, uncounted apply,
     store-hook + scatter.  Duplicate targets run the whole read-modify-
     write sequentially per lane (the scalar accumulation order)."""
-    offs = _offsets(p, i, al, esz)
+    offs = _offsets(p, i, len(al), esz)
     mem = p.mem
     n = len(offs)
     env.vaccess(mem, offs, esz, site, True, al)
-    _check_bounds(mem, offs, esz)
+    if env.hz:
+        # one record: the lanes' read-modify-writes conflict like stores,
+        # and duplicate targets below run them in lane order
+        env.guard(mem, offs, esz, site, True, al)
     if n and len(set(offs.tolist())) != n:
         env.vaccess(mem, offs, esz, site, False, al)
         ct = p.ctype
@@ -599,7 +838,7 @@ def _vstixc(env: WarpEnv, p: Ptr, i: Any, op: str, v: Any, al: np.ndarray,
             rhs = _apply_binop(op, cur, vv[j], env)
             mem.write_scalar(off, ct, rhs)
             out.append(rhs)
-        return np.array(out, dtype=_F8 if dt.kind == "f" else _I8)
+        return np.array(out, dtype=_F8) if dt.kind == "f" else _lanes(out)
     aligned = not p.off & (esz - 1)
     cur = _gather(mem, offs, esz, dt, aligned) if n else \
         np.empty(0, dtype=_F8 if dt.kind == "f" else _I8)
@@ -616,6 +855,8 @@ def _vldu(env: WarpEnv, p: Ptr, al: np.ndarray, site: int) -> Any:
     sz = ct.size or 1
     offs = np.full(len(al), p.off, dtype=_I8)
     env.vaccess(p.mem, offs, sz, site, True, al)
+    if env.hz:
+        env.guard(p.mem, offs, sz, site, False, al)
     return p.load()
 
 
@@ -638,6 +879,8 @@ WARP_HELPERS: Dict[str, Any] = {
     "_vdvf": _vdvf, "_vdvi": _vdvi, "_vmdf": _vmdf, "_vmdi": _vmdi,
     "_vab": _vab, "_own": _own, "_vldix": _vldix, "_vstix": _vstix,
     "_vstixc": _vstixc, "_vldu": _vldu, "_vdiverge": _vdiverge,
+    "_vsel": _vsel, "_vlog": _vlog, "_vbig": _vbig, "_vu64": _vu64,
+    "_vput": _vput,
     **{f"_D_{name}": dt for name, dt in _DTYPES.items()},
 }
 
@@ -656,11 +899,16 @@ _CONST_KINDS["warpSize"] = "i"
 _VARYING_IDS = frozenset({"get_global_id", "get_local_id"})
 
 
-def _scalar_ok(t: Optional[T.Type]) -> bool:
-    """Scalar types the vector tier can hold in int64/float64 lanes:
-    unsigned 64-bit values do not fit the signed lane dtype and demote."""
-    return (isinstance(t, T.ScalarType) and t.name != "void"
-            and not (not t.floating and not t.signed and t.size == 8))
+def _scalar(t: Optional[T.Type]) -> bool:
+    """Scalar types the vector tier holds in lanes: int64 or exact object
+    lanes for integers, float64 for floating types."""
+    return isinstance(t, T.ScalarType) and t.name != "void"
+
+
+def _wide(t: Optional[T.Type]) -> bool:
+    """Unsigned 64-bit integer types, whose values may leave int64."""
+    return (isinstance(t, T.ScalarType) and not t.floating
+            and not t.signed and t.size == 8)
 
 
 def _elem_of(bt: Optional[T.Type]) -> Optional[T.Type]:
@@ -669,6 +917,76 @@ def _elem_of(bt: Optional[T.Type]) -> Optional[T.Type]:
     if isinstance(bt, T.ArrayType):
         return bt.elem
     return None
+
+
+# ---------------------------------------------------------------------------
+# cross-lane hazard map
+# ---------------------------------------------------------------------------
+
+#: one access site as the hazard analysis sees it: its memory base (one
+#: key per region that may be accessed: ``('g', param)`` global,
+#: ``('c', param)`` constant, ``('l', name)`` a distinct local region,
+#: ``('s', '')`` the extern shared region, ``('?', '')`` unknown), whether
+#: it stores, its lane-own index ``(dim, index, element size, pointer)``
+#: or None, and whether it sits in a loop
+_Acc = Tuple[int, Tuple[str, str], bool, Optional[Tuple], bool]
+
+
+class HazardMap:
+    """A vectorized kernel's access sites, per barrier interval, for the
+    engine's cross-lane hazard guard.
+
+    :meth:`sites` names the sites a launch must record: those of every
+    memory base that one interval both stores and loads, or stores at
+    two sites (or at one site in a loop).  A base whose accesses in the
+    interval all use one lane-own index (a lane id plus a uniform, on
+    a dimension whose ids are distinct within each warp of the launch)
+    stays unrecorded.  With ``aliased`` (two global pointer arguments
+    share an allocation) the global bases are one base."""
+
+    def __init__(self, intervals: List[List[_Acc]],
+                 names: Dict[int, str]) -> None:
+        self.intervals = intervals
+        #: site -> the name of the memory it accesses, for the reason
+        self.names = names
+        #: whether merging the global bases can mark more sites
+        self.alias_sensitive = any(
+            len({a[1] for a in iv if a[1][0] in "gc"}) > 1
+            and any(a[2] and a[1][0] in "gc" for a in iv)
+            for iv in intervals)
+        self._memo: Dict[Tuple[bool, Tuple[int, ...]], frozenset] = {}
+
+    def sites(self, aliased: bool, own_dims: Tuple[int, ...]) -> frozenset:
+        memo_key = (aliased and self.alias_sensitive, own_dims)
+        got = self._memo.get(memo_key)
+        if got is not None:
+            return got
+        marked: Set[int] = set()
+        for iv in self.intervals:
+            unknown = any(a[1][0] == "?" for a in iv)
+            groups: Dict[Tuple[str, str], List[_Acc]] = {}
+            for a in iv:
+                key = a[1]
+                if unknown:
+                    key = ("?", "")
+                elif memo_key[0] and key[0] in "gc":
+                    key = ("g", "")
+                groups.setdefault(key, []).append(a)
+            for accs in groups.values():
+                if not any(a[2] for a in accs):
+                    continue
+                if len(accs) == 1 and not accs[0][4]:
+                    continue
+                own = accs[0][3]
+                if (own is not None and own[0] in own_dims
+                        and all(a[3] == own for a in accs)):
+                    continue
+                marked.update(a[0] for a in accs)
+        got = self._memo[memo_key] = frozenset(marked)
+        return got
+
+
+_UNKNOWN = (("?", ""), "?", None)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +1002,9 @@ class _VecFnCodegen(_CoreCodegen):
     Divergent-but-uniformly-nested ``if`` statements narrow the active
     lane-index set; a leading ``if (cond) return;`` guard narrows it
     permanently and arms the ``__R`` divergence flag checked at every
-    later barrier.
+    later barrier.  A varying conditional or ``&&``/``||`` whose operand
+    has effects (a load) evaluates that operand as hoisted lines over the
+    lanes that select it, then merges.
     """
 
     def __init__(self, u: _UnitCodegen, fn: A.FunctionDecl) -> None:
@@ -693,6 +1013,19 @@ class _VecFnCodegen(_CoreCodegen):
         self.full = True
         self.act = ("__I0", "__n0")
         self.vary: Dict[str, bool] = {}
+        #: inline conditional contexts around the expression being
+        #: emitted (hoisted lines there would run unconditionally)
+        self.inline = 0
+        #: whether the statement being emitted already evaluated an
+        #: operand with effects in its own text (hoisting a later one
+        #: would reorder the two)
+        self.impure = False
+        #: access node id -> its hazard-analysis record and base name
+        self.accs: Dict[int, Tuple[_Acc, str]] = {}
+        self._own: Optional[Dict[str, int]] = None
+        self._bases: Dict[str, Tuple[Tuple[str, str], str,
+                                     Optional[str]]] = {}
+        self._extern_names: Optional[Set[str]] = None
 
     # -- infrastructure ------------------------------------------------------
 
@@ -833,7 +1166,8 @@ class _VecFnCodegen(_CoreCodegen):
         if k is A.BinOp:
             return self._evary(e.lhs) or self._evary(e.rhs)
         if k is A.UnOp:
-            return self._evary(e.operand)
+            # a load through a pointer runs per lane, like an Index
+            return e.op == "*" or self._evary(e.operand)
         if k is A.Cond:
             return (self._evary(e.cond) or self._evary(e.then)
                     or self._evary(e.orelse))
@@ -899,7 +1233,7 @@ class _VecFnCodegen(_CoreCodegen):
         if kind is A.Call:
             return self.call(e, cnt)
         if kind is A.Index:
-            return self.index(e, cnt)
+            return self.load(e, e.base, e.index, cnt)
         if kind is A.Member:
             return self.member(e, cnt)
         if kind is A.Cast:
@@ -921,8 +1255,10 @@ class _VecFnCodegen(_CoreCodegen):
             if name in self.arrays:
                 return f"Md_{name}", "p", False
             if isinstance(t, T.ScalarType):
+                self.impure = True
                 return (f"_vldu(env, M_{name}, {self.actA}, "
-                        f"{self.site()})", _kind_of(t), False)
+                        f"{self._site(e, e, False, None)})",
+                        _kind_of(t), False)
             raise self.unsup(f"non-scalar memory variable {name!r}")
         if name in self.u.sym_names:
             for d in self.u.unit.decls:
@@ -930,8 +1266,10 @@ class _VecFnCodegen(_CoreCodegen):
                     if isinstance(d.type, T.ArrayType):
                         return f"Gd_{name}", "p", False
                     if isinstance(d.type, T.ScalarType):
+                        self.impure = True
                         return (f"_vldu(env, G_{name}, {self.actA}, "
-                                f"{self.site()})", _kind_of(d.type), False)
+                                f"{self._site(e, e, False, None)})",
+                                _kind_of(d.type), False)
                     raise self.unsup(f"non-scalar module symbol {name!r}")
             raise self.unsup(f"module symbol {name!r} without a decl")
         if name in self.u.gv_names:
@@ -946,10 +1284,8 @@ class _VecFnCodegen(_CoreCodegen):
 
     def intwrap(self, code: str, st: T.ScalarType,
                 vary: bool = False) -> str:
-        if not _scalar_ok(st):
-            raise self.unsup(f"unsigned 64-bit result type {st.name}")
         if vary and st.size == 8:
-            return f"_vw64({code})"
+            return f"_vw64({code})" if st.signed else f"_vu64({code})"
         return super().intwrap(code, st)
 
     def binop(self, e: A.BinOp, cnt: List[int]) -> Tuple[str, str, bool]:
@@ -958,11 +1294,26 @@ class _VecFnCodegen(_CoreCodegen):
             return self.logical(e, cnt)
         a, ak, av = self.expr(e.lhs, cnt)
         b, bk, bv = self.expr(e.rhs, cnt)
+        if "p" in (ak, bk):
+            return self._pointer_arith(e, a, ak, av, b, bk, bv, cnt)
         if ak not in "if" or bk not in "if":
             raise self.unsup(f"operator {op!r} on kinds {ak}{bk}")
         if not (av or bv):
             return (*self.arith(e, a, ak, b, bk, cnt), False)
         flop, wrap = self._op_shape(e, ak, bk, cnt)
+        # unsigned 64-bit operands: a float operation converts them to
+        # float first, as Python does; int lanes meet a uniform that may
+        # leave int64 as an object value
+        if flop and op in ("+", "-", "*", "/", "%"):
+            if ak == "i" and _wide(e.lhs.ctype):
+                a = f"_vfl({a})"
+            if bk == "i" and _wide(e.rhs.ctype):
+                b = f"_vfl({b})"
+        elif not flop:
+            if not av and _wide(e.lhs.ctype):
+                a = f"_vbig({a})"
+            if not bv and _wide(e.rhs.ctype):
+                b = f"_vbig({b})"
         rt = e.ctype
         if op in ("+", "-", "*"):
             code = f"({a} {op} {b})"
@@ -990,13 +1341,66 @@ class _VecFnCodegen(_CoreCodegen):
             return f"({a} {op} {b})", "i", True
         raise self.unsup(f"operator {op!r}")
 
+    def _pointer_arith(self, e: A.BinOp, a: str, ak: str, av: bool, b: str,
+                       bk: str, bv: bool,
+                       cnt: List[int]) -> Tuple[str, str, bool]:
+        """Uniform pointer plus or minus a uniform int: the interpreter's
+        pointer arithmetic, one iop per active lane as ``_bop`` counts."""
+        if (av or bv or e.op not in ("+", "-") or (ak, bk) not in (
+                ("p", "i"), ("i", "p")) or (e.op == "-" and ak != "p")):
+            raise self.unsup(f"operator {e.op!r} on kinds {ak}{bk}")
+        cnt[1] += 1
+        return f"_pb({e.op!r}, {a}, {b})", "p", False
+
+    def _lane_arm(self, sel: str, e: A.Node) -> Tuple[str, str, bool]:
+        """Hoist ``e`` as lines evaluating it over the active lanes mask
+        ``sel`` keeps, its static counts scaled by their number; returns
+        the temp holding its value (None when no lane selects it)."""
+        outer, outer_full, outer_impure = self.act, self.full, self.impure
+        a = self.aux("a")
+        n = self.aux("n")
+        v = self.tmp()
+        self.w(f"{v} = None")
+        self.w(f"{a} = {outer[0]}[{sel}]")
+        self.w(f"{n} = len({a})")
+        self.w(f"if {n}:")
+        self.ind += 1
+        self.act = (a, n)
+        self.full = False
+        self.impure = False
+        ac: List[int] = [0, 0]
+        code, k, vary = self.expr(e, ac)
+        self.flush(ac)
+        self.w(f"{v} = {code}")
+        self.ind -= 1
+        self.act, self.full, self.impure = outer, outer_full, outer_impure
+        return v, k, vary
+
+    def _can_hoist(self, before: bool) -> bool:
+        """Whether an operand with effects may be hoisted here: nothing
+        with effects ran earlier in the statement's text, and no inline
+        conditional encloses it."""
+        return not before and not self.inline
+
     def logical(self, e: A.BinOp, cnt: List[int]) -> Tuple[str, str, bool]:
         op = e.op
+        before = self.impure
         a, ak, av = self.expr(e.lhs, cnt)
-        rc: List[int] = [0, 0]
         if av and not self._pure(e.rhs):
-            raise self.unsup(f"impure rhs of varying {op!r}")
+            if not self._can_hoist(before) or ak not in "if":
+                raise self.unsup(f"impure rhs of varying {op!r}")
+            m = self.aux("m")
+            self.w(f"{m} = _vmask({a}, {self.actn})")
+            t, bk, _bv = self._lane_arm(m if op == "&&" else f"~{m}",
+                                        e.rhs)
+            if bk not in "if":
+                raise self.unsup(f"{op!r} on kinds {ak}{bk}")
+            self.impure = before
+            return f"_vlog({m}, {t}, {op == '&&'})", "i", True
+        rc: List[int] = [0, 0]
+        self.inline += 1
         b, bk, bv = self.expr(e.rhs, rc)
+        self.inline -= 1
         if ak not in "if" or bk not in "if":
             raise self.unsup(f"{op!r} on kinds {ak}{bk}")
         self.uses_counts = self.uses_counts or rc[0] or rc[1] or av
@@ -1019,12 +1423,15 @@ class _VecFnCodegen(_CoreCodegen):
                 "i", True)
 
     def cond(self, e: A.Cond, cnt: List[int]) -> Tuple[str, str, bool]:
+        before = self.impure
         c, ck, cv = self.expr(e.cond, cnt)
         if not cv:
+            self.inline += 1
             tc: List[int] = [0, 0]
             a, ak, av = self.expr(e.then, tc)
             ec: List[int] = [0, 0]
             b, bk, bv = self.expr(e.orelse, ec)
+            self.inline -= 1
             if tc[0] or tc[1]:
                 self.uses_counts = True
                 a = f"_vsc(__C, {tc[0]}, {tc[1]}, {self.actn}, {a})"
@@ -1035,13 +1442,28 @@ class _VecFnCodegen(_CoreCodegen):
                 raise self.unsup("mixed-kind conditional")
             return (f"({a} if {self.truth(c, ck)} else {b})", ak, av or bv)
         if not (self._pure(e.then) and self._pure(e.orelse)):
-            raise self.unsup("impure arm of varying conditional")
+            if not self._can_hoist(before):
+                raise self.unsup("impure arm of varying conditional")
+            # each arm runs, with its loads, on the lanes selecting it
+            m = self.aux("m")
+            self.w(f"{m} = _vmask({c}, {self.actn})")
+            x, ak, _av = self._lane_arm(m, e.then)
+            y, bk, _bv = self._lane_arm(f"~{m}", e.orelse)
+            if ak != bk or ak not in "if":
+                raise self.unsup("mixed-kind varying conditional")
+            self.impure = before
+            dref = "_f8" if ak == "f" else "_i8"
+            return f"_vsel({m}, {x}, {y}, {self.actn}, {dref})", ak, True
         tc = [0, 0]
         a, ak, av = self.expr(e.then, tc)
         ec = [0, 0]
         b, bk, bv = self.expr(e.orelse, ec)
         if ak != bk or ak not in "if":
             raise self.unsup("mixed-kind varying conditional")
+        if not av and _wide(e.then.ctype):
+            a = f"_vbig({a})"
+        if not bv and _wide(e.orelse.ctype):
+            b = f"_vbig({b})"
         self.uses_counts = True
         return (f"_vcond(__C, {c}, {a}, {tc[0]}, {tc[1]}, {b}, {ec[0]}, "
                 f"{ec[1]}, {self.actn})", ak, True)
@@ -1050,7 +1472,9 @@ class _VecFnCodegen(_CoreCodegen):
         op = e.op
         if op in ("++", "--"):
             return self.incdec_expr(e)
-        if op in ("&", "*"):
+        if op == "*":
+            return self.load(e, e.operand, None, cnt)
+        if op == "&":
             raise self.unsup(f"unary operator {op!r}")
         code, k, vary = self.expr(e.operand, cnt)
         if op == "-" and k not in "if":
@@ -1078,23 +1502,41 @@ class _VecFnCodegen(_CoreCodegen):
         code, k = self._reg_incdec(
             e, f"V_{t.name}", lambda cur: self._stepped(cur, dt, k, sign), k,
             False)
+        self.impure = True
         return code, k, False
 
-    def index(self, e: A.Index, cnt: List[int]) -> Tuple[str, str, bool]:
-        bt = e.base.ctype if isinstance(e.base, A.Expr) else None
-        elem = _elem_of(bt)
-        if not (_scalar_ok(elem) and elem.name in _DTYPES):
-            raise self.unsup(f"indexed element type {elem!r}")
-        base, bk, bv = self.expr(e.base, cnt)
-        if bk != "p" or bv:
-            raise self.unsup("index on a non-uniform pointer")
-        idx, ik, _iv = self.expr(e.index, cnt)
+    def _elem(self, base: A.Node, index: Optional[A.Node], cnt: List[int],
+              store: bool) -> Tuple[str, str, T.ScalarType]:
+        """``(pointer, index, element type)`` code of the element
+        ``base[index]`` (``*base`` when ``index`` is None) through a
+        uniform pointer."""
+        elem = _elem_of(base.ctype if isinstance(base, A.Expr) else None)
+        if not (_scalar(elem) and elem.name in _DTYPES):
+            raise self.unsup(
+                f"{'stored' if store else 'indexed'} element type {elem!r}")
+        p, pk, pv = self.expr(base, cnt)
+        if pk != "p" or pv:
+            raise self.unsup("store through a non-uniform pointer" if store
+                             else "index on a non-uniform pointer")
+        if index is None:
+            return p, "0", elem
+        idx, ik, _iv = self.expr(index, cnt)
         if ik == "f":
             idx = f"_vix({idx})"
         elif ik != "i":
-            raise self.unsup("non-integer index")
-        return (f"_vldix(env, {base}, {idx}, {self.actA}, {elem.size}, "
-                f"_D_{elem.name}, {self.site()})", _kind_of(elem), True)
+            raise self.unsup("non-integer store index" if store
+                             else "non-integer index")
+        return p, idx, elem
+
+    def load(self, e: A.Node, base: A.Node, index: Optional[A.Node],
+             cnt: List[int]) -> Tuple[str, str, bool]:
+        """``base[index]`` or ``*base`` as an rvalue, over the active
+        lanes."""
+        p, idx, elem = self._elem(base, index, cnt, False)
+        site = self._site(e, base, False, index)
+        self.impure = True
+        return (f"_vldix(env, {p}, {idx}, {self.actA}, {elem.size}, "
+                f"_D_{elem.name}, {site})", _kind_of(elem), True)
 
     def member(self, e: A.Member, cnt: List[int]) -> Tuple[str, str, bool]:
         code = self._dim_register(e)
@@ -1108,7 +1550,9 @@ class _VecFnCodegen(_CoreCodegen):
         return code, "i", True
 
     def co(self, code: str, t: T.Type, k: str, vary: bool = False) -> str:
-        if not (isinstance(t, T.ScalarType) and t.name != "void"):
+        if isinstance(t, T.PointerType) and k == "p" and not vary:
+            return super().co(code, t, k)
+        if not _scalar(t):
             raise self.unsup(f"coercion to {t!r}")
         if not vary:
             return super().co(code, t, k)
@@ -1129,6 +1573,9 @@ class _VecFnCodegen(_CoreCodegen):
         if isinstance(e.expr, A.InitList):
             raise self.unsup("compound literal")
         code, k, vary = self.expr(e.expr, cnt)
+        if isinstance(t, T.PointerType) and k == "p" and not vary:
+            # the scalar tier's text: a retyped view of the same pointer
+            return f"_cast({code}, {self.tref(t)})", "p", False
         if not isinstance(t, T.ScalarType):
             raise self.unsup(f"cast to {t!r}")
         return self.co(code, t, k, vary), _kind_of(t), vary
@@ -1198,6 +1645,14 @@ class _VecFnCodegen(_CoreCodegen):
             return
         self._plain_stmt(e, cnt)
 
+    def _plain_stmt(self, e: A.Node, cnt: List[int]) -> None:
+        self.impure = False
+        super()._plain_stmt(e, cnt)
+
+    def _loop_cond_break(self, cond: A.Node) -> None:
+        self.impure = False
+        super()._loop_cond_break(cond)
+
     def _step(self, e: A.Node) -> None:
         # a for step runs in statement form, over the active lanes
         self._plain_stmt(e, [0, 0])
@@ -1236,6 +1691,8 @@ class _VecFnCodegen(_CoreCodegen):
         if self.full:
             dref = "_f8" if k == "f" else "_i8"
             self.w(f"V_{name} = _own({val}, __n0, {dref})")
+        elif _wide(self.names[name][1]):
+            self.w(f"V_{name} = _vput(V_{name}, {self.actA}, {val})")
         else:
             self.w(f"V_{name}[{self.actA}] = {val}")
 
@@ -1247,20 +1704,27 @@ class _VecFnCodegen(_CoreCodegen):
             if rec is None or rec[0] != "reg":
                 raise self.unsup(f"cannot assign to {t.name!r}")
             _cls, dt = rec
+            name = t.name
+            vary = self.vary.get(name)
+            if isinstance(dt, T.PointerType) and not vary:
+                self._assign_pointer(e, dt, cnt)
+                return
             if not (isinstance(dt, T.ScalarType) and _kind_of(dt) in "if"):
                 raise self.unsup(f"assignment to non-scalar {t.name!r}")
             tk = _kind_of(dt)
-            name = t.name
-            vary = self.vary.get(name)
             rhs, rk, rv = self.expr(e.value, cnt)
             if rv and not vary:
                 raise self.unsup(f"varying write to uniform register {name!r}")
             if op:
                 tmp = self.tmp()
+                if vary and not rv and _wide(e.value.ctype):
+                    rhs = f"_vbig({rhs})"
                 self.w(f"{tmp} = {rhs}")
+                cur = self.rread(name) if vary else f"V_{name}"
+                if vary and "f" in (tk, rk) and _wide(dt):
+                    cur = f"_vfl({cur})"
                 # on a varying target a uniform rhs broadcasts
-                rhs, rk = self._apply(op, self.rread(name) if vary
-                                      else f"V_{name}", tmp, tk, rk, vary)
+                rhs, rk = self._apply(op, cur, tmp, tk, rk, vary)
                 rv = vary
             if vary:
                 self._set_varying(name, self.co(rhs, dt, rk, rv), tk)
@@ -1268,29 +1732,37 @@ class _VecFnCodegen(_CoreCodegen):
                 # uniform register: the scalar tier's exact statement
                 self.w(f"V_{name} = {self.co(rhs, dt, rk)}")
             return
-        if isinstance(t, A.Index):
-            bt = t.base.ctype if isinstance(t.base, A.Expr) else None
-            elem = _elem_of(bt)
-            if not (_scalar_ok(elem) and elem.name in _DTYPES):
-                raise self.unsup(f"stored element type {elem!r}")
-            base, bk, bv = self.expr(t.base, cnt)
-            if bk != "p" or bv:
-                raise self.unsup("store through a non-uniform pointer")
-            idx, ik, _iv = self.expr(t.index, cnt)
-            if ik == "f":
-                idx = f"_vix({idx})"
-            elif ik != "i":
-                raise self.unsup("non-integer store index")
-            site = self.site()
+        if isinstance(t, A.Index) or (isinstance(t, A.UnOp)
+                                      and t.op == "*"):
+            base, index = ((t.base, t.index) if isinstance(t, A.Index)
+                           else (t.operand, None))
+            p, idx, elem = self._elem(base, index, cnt, True)
+            site = self._site(t, base, True, index)
             rhs, _rk, _rv = self.expr(e.value, cnt)
             if op:
-                self.w(f"_vstixc(env, {base}, {idx}, {op!r}, {rhs}, "
+                self.w(f"_vstixc(env, {p}, {idx}, {op!r}, {rhs}, "
                        f"{self.actA}, {elem.size}, _D_{elem.name}, {site})")
             else:
-                self.w(f"_vstix(env, {base}, {idx}, {rhs}, {self.actA}, "
+                self.w(f"_vstix(env, {p}, {idx}, {rhs}, {self.actA}, "
                        f"{elem.size}, _D_{elem.name}, {site})")
             return
         raise self.unsup(f"assignment to {type(t).__name__} target")
+
+    def _assign_pointer(self, e: A.Assign, dt: T.PointerType,
+                        cnt: List[int]) -> None:
+        """``p = q`` / ``p op= v`` on a uniform pointer register, with the
+        scalar tier's text."""
+        rhs, rk, rv = self.expr(e.value, cnt)
+        if rv:
+            raise self.unsup(f"register type {dt!r}")
+        v = f"V_{e.target.name}"
+        if e.op:
+            tmp = self.tmp()
+            self.w(f"{tmp} = {rhs}")
+            rhs, rk = self._apply_code(e.op, v, tmp, "p", rk)
+        elif rk != "p":
+            raise self.unsup(f"register type {dt!r}")
+        self.w(f"{v} = {super().co(rhs, dt, rk)}")
 
     def incdec_stmt(self, e: A.UnOp, cnt: List[int]) -> None:
         t = e.operand
@@ -1327,6 +1799,7 @@ class _VecFnCodegen(_CoreCodegen):
         return isinstance(body, A.Return) and body.value is None
 
     def _if(self, s: A.If) -> None:
+        self.impure = False
         cnt: List[int] = [0, 0]
         c, ck, cv = self.expr(s.cond, cnt)
         self.flush(cnt)
@@ -1392,19 +1865,29 @@ class _VecFnCodegen(_CoreCodegen):
         if d.space == T.AddressSpace.LOCAL:
             self._decl_local(d)
             return
+        self.impure = False
         name = d.name
         rec = self.names[name]
         t = d.type
         if rec[0] == "mem":
             raise self.unsup(f"private memory variable {name!r}")
-        if not (isinstance(t, T.ScalarType) and _kind_of(t) in "if"
-                and _scalar_ok(t)):
+        v = f"V_{name}"
+        if (isinstance(t, T.PointerType) and not self.vary.get(name)
+                and d.init is not None):
+            # a uniform pointer register: the scalar tier's declaration
+            cnt: List[int] = [0, 0]
+            code, rk, rv = self.expr(d.init, cnt)
+            self.flush(cnt)
+            if rv or rk != "p":
+                raise self.unsup(f"register type {t!r}")
+            self.w(f"{v} = {super().co(code, t, rk)}")
+            return
+        if not (_scalar(t) and _kind_of(t) in "if"):
             raise self.unsup(f"register type {t!r}")
         k = _kind_of(t)
-        v = f"V_{name}"
         if not self.vary.get(name):
             if d.init is not None:
-                cnt: List[int] = [0, 0]
+                cnt = [0, 0]
                 code, rk, rv = self.expr(d.init, cnt)
                 self.flush(cnt)
                 if rv:
@@ -1427,10 +1910,241 @@ class _VecFnCodegen(_CoreCodegen):
             self.w(f"{v} = _np.zeros(__n0, {dref})")
         self._set_varying(name, self.co(code, t, rk, rv), k)
 
+    # -- cross-lane hazard analysis ------------------------------------------
+
+    def _site(self, node: A.Node, base: A.Node, store: bool,
+              index: Optional[A.Node]) -> int:
+        """A new access site for ``node``, recorded for the hazard map."""
+        site = self.site()
+        key, name, ptr = self._base(base)
+        own = None
+        if ptr is not None and index is not None:
+            ident = self._own_index(index)
+            if ident is not None:
+                own = (self._lane_dim(index), ident,
+                       _elem_of(base.ctype).size, ptr)
+        self.accs[id(node)] = ((site, key, store, own, False), name)
+        return site
+
+    def _own_index(self, e: A.Node) -> Optional[Tuple]:
+        """What identifies a lane-own index's value across accesses: a
+        lane-own register, or a bare lane id; None for another index."""
+        if isinstance(e, A.Ident):
+            return ("r", e.name) if e.name in self._own_regs() else None
+        if type(e) in (A.Call, A.Member):
+            d = self._lane_dim(e)
+            if d is not None:
+                return ("id", getattr(e, "callee_name", None) or "threadIdx",
+                        d)
+        return None
+
+    def _base(self, e: A.Node) -> Tuple[Tuple[str, str], str, Optional[str]]:
+        """``(base key, base name, pointer identity)`` of a pointer
+        expression: the memory region it points into."""
+        k = type(e)
+        if k is A.Cast:
+            return self._base(e.expr)
+        if k is A.BinOp and e.op in ("+", "-"):
+            for side in (e.lhs, e.rhs):
+                if _kind_of(side.ctype) == "p":
+                    key, name, _ptr = self._base(side)
+                    return key, name, None
+            return _UNKNOWN
+        if k is not A.Ident:
+            return _UNKNOWN
+        name = e.name
+        rec = self.names.get(name)
+        if rec is None:
+            if name in self.u.sym_names:
+                return ("g", name), name, name
+            return _UNKNOWN
+        cls, t = rec
+        if cls == "preg" and isinstance(t, T.PointerType):
+            space = {T.AddressSpace.LOCAL: "l",
+                     T.AddressSpace.CONSTANT: "c"}.get(t.space, "g")
+            return (space, name), name, name
+        if cls == "mem":
+            if name in self._externs():
+                return ("s", ""), name, name
+            return ("l", name), name, name
+        if cls == "reg" and isinstance(t, T.PointerType):
+            got = self._bases.get(name)
+            if got is None:
+                self._bases[name] = _UNKNOWN  # while its writes refer to it
+                got = self._bases[name] = self._reg_base(name)
+            return got
+        return _UNKNOWN
+
+    def _reg_base(self, name: str) -> Tuple[Tuple[str, str], str,
+                                            Optional[str]]:
+        """A pointer register points where every value written to it
+        does; it names one pointer while written once."""
+        roots = []
+        for d in A.walk(self.fn.body):
+            if isinstance(d, A.VarDecl) and d.name == name:
+                roots.append(self._base(d.init) if d.init is not None
+                             else _UNKNOWN)
+            elif (isinstance(d, A.Assign) and isinstance(d.target, A.Ident)
+                    and d.target.name == name):
+                roots.append(_UNKNOWN if d.op else self._base(d.value))
+            elif (isinstance(d, A.UnOp) and d.op in ("++", "--")
+                    and isinstance(d.operand, A.Ident)
+                    and d.operand.name == name):
+                roots.append(_UNKNOWN)
+        if len({r[0] for r in roots}) != 1:
+            return _UNKNOWN
+        key, root, _ptr = roots[0]
+        return key, root, name if len(roots) == 1 else None
+
+    def _externs(self) -> Set[str]:
+        if self._extern_names is None:
+            self._extern_names = {
+                d.name for d in A.walk(self.fn.body)
+                if isinstance(d, A.VarDecl) and "extern" in d.quals}
+        return self._extern_names
+
+    def _own_regs(self) -> Dict[str, int]:
+        """Registers holding a lane-own index: declared once, at the top
+        level of the kernel body, never written again, from a lane id
+        plus a uniform (their lane-id dimension)."""
+        if self._own is None:
+            self._own = {}
+            written = set()
+            decls: Dict[str, int] = {}
+            for n in A.walk(self.fn.body):
+                if isinstance(n, A.Assign) and isinstance(n.target, A.Ident):
+                    written.add(n.target.name)
+                elif (isinstance(n, A.UnOp) and n.op in ("++", "--")
+                        and isinstance(n.operand, A.Ident)):
+                    written.add(n.operand.name)
+                elif isinstance(n, A.VarDecl):
+                    decls[n.name] = decls.get(n.name, 0) + 1
+            for st in self.fn.body.stmts:
+                if not isinstance(st, A.DeclStmt):
+                    continue
+                for d in st.decls:
+                    t = d.type
+                    if (d.init is None or d.name in written
+                            or decls[d.name] != 1
+                            or self.names.get(d.name, ("",))[0] != "reg"
+                            or not isinstance(t, T.ScalarType)
+                            or t.floating or t.size < 2):
+                        continue
+                    dim = self._lane_dim(d.init)
+                    if dim is not None:
+                        self._own[d.name] = dim
+        return self._own
+
+    def _lane_dim(self, e: A.Node) -> Optional[int]:
+        """The dimension ``d`` when ``e`` is a lane id along ``d`` plus
+        (or minus) a uniform, which takes distinct values on lanes with
+        distinct ``d`` ids; else None."""
+        k = type(e)
+        if k is A.Call:
+            if (e.callee_name in _VARYING_IDS and len(e.args) == 1
+                    and self.u.dialect_name == "opencl"
+                    and isinstance(e.args[0], A.IntLit)
+                    and e.args[0].value in (0, 1, 2)):
+                return e.args[0].value
+            return None
+        if k is A.Member:
+            if (self._dim_register(e) is not None
+                    and e.base.name == "threadIdx"):
+                return _XYZ[e.name]
+            return None
+        if k is A.Ident:
+            return (self._own or {}).get(e.name)
+        if k is A.Cast:
+            t = e.type
+            if (isinstance(t, T.ScalarType) and not t.floating
+                    and t.size >= 2):
+                return self._lane_dim(e.expr)
+            return None
+        if k is A.BinOp and e.op in ("+", "-"):
+            for lane, other in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
+                d = self._lane_dim(lane)
+                if (d is not None and not self._evary(other)
+                        and self._pure(other)):
+                    return d
+        return None
+
+    def hazards(self) -> HazardMap:
+        """The kernel's access sites per barrier interval (see
+        :class:`HazardMap`), from a walk over the kernel body that
+        follows the warp generator's control flow: loops to a fixpoint,
+        both arms of every branch."""
+        out: List[frozenset] = []
+        loops: List[Tuple[List[frozenset], List[frozenset]]] = []
+        repeated: Set[int] = set()
+        accs = self.accs
+
+        def found(node: Optional[A.Node]) -> frozenset:
+            if node is None:
+                return frozenset()
+            return frozenset(id(n) for n in A.walk(node) if id(n) in accs)
+
+        def run(s: Optional[A.Node], cur: frozenset) -> frozenset:
+            if s is None:
+                return cur
+            k = type(s)
+            if k is A.Compound:
+                for st in s.stmts:
+                    cur = run(st, cur)
+                return cur
+            if k is A.ExprStmt:
+                e = s.expr
+                if (isinstance(e, A.Call)
+                        and e.callee_name in self.u.barrier_names):
+                    out.append(cur)
+                    return frozenset()
+                return cur | found(e)
+            if k is A.DeclStmt:
+                for d in s.decls:
+                    cur = cur | found(d.init)
+                return cur
+            if k is A.If:
+                cur = cur | found(s.cond)
+                return run(s.then, cur) | run(s.orelse, cur)
+            if k in (A.For, A.While):
+                if k is A.For:
+                    cur = run(s.init, cur)
+                    repeated.update(found(s.step))
+                repeated.update(found(s.cond) | found(s.body))
+                head = cur
+                while True:
+                    loops.append(([], []))
+                    c = head | found(s.cond)
+                    end = run(s.body, c)
+                    brk, cont = loops.pop()
+                    end = end.union(*cont)
+                    if k is A.For:
+                        end = end | found(s.step)
+                    if end <= head:
+                        return c.union(*brk)
+                    head = head | end
+            if k is A.Return:
+                out.append(cur)
+                return cur
+            if k in (A.Break, A.Continue) and loops:
+                loops[-1][k is A.Continue].append(cur)
+            return cur
+
+        out.append(run(self.fn.body, frozenset()))
+        intervals = []
+        for ids in set(out):
+            if ids:
+                intervals.append(sorted(
+                    (accs[i][0][:4] + (i in repeated,) for i in ids),
+                    key=lambda a: a[0]))
+        intervals.sort(key=lambda iv: [a[0] for a in iv])
+        return HazardMap(intervals, {a[0]: name for a, name
+                                     in accs.values()})
+
     # -- function assembly ---------------------------------------------------
 
     def emit(self) -> str:
         self.prepass()
+        self._own_regs()
         fn = self.fn
         self.ind = 2  # def(0) > with errstate(1) > body(2)
         for i, p in enumerate(fn.params):
@@ -1439,8 +2153,6 @@ class _VecFnCodegen(_CoreCodegen):
                 raise self.unsup(f"by-value aggregate parameter {p.name!r}")
             pt = p.type
             if isinstance(pt, T.ScalarType) and pt.name != "void":
-                if not _scalar_ok(pt):
-                    raise self.unsup(f"parameter type {pt.name}")
                 self.w(f"V_{p.name} = _co(a{i}, _T_{pt.name})")
             else:
                 # pointers/opaques arrive pre-coerced from the launch path

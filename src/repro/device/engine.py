@@ -28,7 +28,7 @@ from ..clike.dialect import get_dialect
 from ..clike.interp import WARP_OP_KINDS, ExecEnv, Interp, Stack
 from ..clike.sema import annotate_unit
 from ..clike.stdlib import NAMED_CONSTANTS
-from ..errors import DeviceError, InterpError
+from ..errors import CrossLaneHazard, DeviceError, InterpError
 from ..observability import get_metrics, get_tracer
 from ..runtime.memory import Memory
 from ..runtime.values import Ptr, Vec, coerce
@@ -37,7 +37,7 @@ from .builtins import BARRIER_NAMES, BUILTIN_FACTORIES, make_builtins
 from .occupancy import KNOWN_COMPILERS, Occupancy, calc_occupancy, \
     estimate_registers
 from .perf import KernelTime, PerfCounters, kernel_time
-from .sched import GeneratorProgram, WarpScheduler, warp_windows
+from .sched import DONE, GeneratorProgram, WarpScheduler, warp_windows
 from .specs import DeviceSpec, GTX_TITAN
 
 __all__ = ["Device", "DeviceModule", "KernelObject", "LocalArg",
@@ -135,6 +135,12 @@ class KernelObject:
     name: str
     fn: A.FunctionDecl
     module: "DeviceModule"
+    #: the two per-launch AST walks, memoized: they depend only on the
+    #: kernel (and the compiler)
+    _shared: Optional[int] = field(default=None, init=False, repr=False,
+                                   compare=False)
+    _regs: Dict[str, int] = field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
 
     @property
     def num_args(self) -> int:
@@ -142,15 +148,26 @@ class KernelObject:
 
     def static_shared_bytes(self) -> int:
         """Bytes of statically declared __shared__/__local arrays."""
-        total = 0
-        if self.fn.body is not None:
-            for node in A.walk(self.fn.body):
-                if (isinstance(node, A.VarDecl)
-                        and node.space == T.AddressSpace.LOCAL
-                        and "extern" not in node.quals
-                        and node.type.size is not None):
-                    total += node.type.size
-        return total
+        if self._shared is None:
+            total = 0
+            if self.fn.body is not None:
+                for node in A.walk(self.fn.body):
+                    if (isinstance(node, A.VarDecl)
+                            and node.space == T.AddressSpace.LOCAL
+                            and "extern" not in node.quals
+                            and node.type.size is not None):
+                        total += node.type.size
+            self._shared = total
+        return self._shared
+
+    def registers(self, compiler: str) -> int:
+        """:func:`~repro.device.occupancy.estimate_registers` for this
+        kernel under ``compiler``."""
+        regs = self._regs.get(compiler)
+        if regs is None:
+            regs = self._regs[compiler] = estimate_registers(self.fn,
+                                                             compiler)
+        return regs
 
 
 class DeviceModule:
@@ -176,6 +193,8 @@ class DeviceModule:
         self.vector_entries: Dict[str, Any] = {}
         #: kernel name -> reason it demoted to the scalar compiled form
         self.vector_fallbacks: Dict[str, str] = {}
+        #: vectorized kernel name -> its ``vectorize.HazardMap``
+        self.vector_hazards: Dict[str, Any] = {}
         #: kernel name -> reason the debugger demoted it to the
         #: interpreter tier.  Scoped per *kernel*, like
         #: ``compile_fallbacks``/``vector_fallbacks``: attaching the
@@ -268,6 +287,7 @@ def _compile_module(mod: DeviceModule) -> None:
             metrics.counter(f"engine.compile.{outcome}").inc()
             span.set(outcome=outcome)
             mod.compile_fallbacks = dict(cs.fallbacks)
+            mod.vector_hazards = cs.vector_hazards
             (mod.compiled_entries, mod.vector_entries,
              mod.vector_fallbacks) = bind_unit(mod.unit, cs, mod.symbols,
                                                mod.globals_values)
@@ -439,6 +459,12 @@ class _LaunchEnv:
         #: the attached KernelDebugDriver when this launch's kernel is
         #: being debugged (set per group by _run_group), else None
         self.debug_driver: Optional[KernelDebugDriver] = None
+        #: cross-lane hazard guard of a warp-batched launch: the access
+        #: sites its warps record, their memory names, and the undo log
+        #: of its global stores (None when the launch is unguarded)
+        self.hazard_sites: frozenset = frozenset()
+        self.hazard_names: Dict[int, str] = {}
+        self.undo: Optional[List[Tuple[Memory, Any, Any]]] = None
 
     def in_constant_range(self, ptr: Ptr) -> bool:
         return self.in_constant_off(ptr.mem, ptr.off)
@@ -731,22 +757,39 @@ def _launch_kernel_impl(device: Device, kernel: KernelObject,
 
     total_groups = grid3[0] * grid3[1] * grid3[2]
     launch.counters.work_items = total_groups * threads_per_block
+    _arm_hazard_guard(launch, args)
 
     mode_bits = spec.bank_mode(framework)
     sampled = 0
     group_index = 0
-    for gz in range(grid3[2]):
-        for gy in range(grid3[1]):
-            for gx in range(grid3[0]):
-                launch.tracing = group_index < _SAMPLE_GROUPS
-                if launch.tracing:
-                    launch.local_traces = [dict() for _ in range(threads_per_block)]
-                    launch.global_traces = [dict() for _ in range(threads_per_block)]
-                    sampled += 1
-                _run_group(launch, (gx, gy, gz), args)
-                if launch.tracing:
-                    _account_traces(launch, threads_per_block, mode_bits)
-                group_index += 1
+    try:
+        for gz in range(grid3[2]):
+            for gy in range(grid3[1]):
+                for gx in range(grid3[0]):
+                    launch.tracing = group_index < _SAMPLE_GROUPS
+                    if launch.tracing:
+                        launch.local_traces = [
+                            dict() for _ in range(threads_per_block)]
+                        launch.global_traces = [
+                            dict() for _ in range(threads_per_block)]
+                        sampled += 1
+                    _run_group(launch, (gx, gy, gz), args)
+                    if launch.tracing:
+                        _account_traces(launch, threads_per_block, mode_bits)
+                    group_index += 1
+    except CrossLaneHazard as hz:
+        # batching reordered two lanes' conflicting accesses: undo the
+        # launch's global stores, demote the kernel for the module's
+        # later launches, and run this one again on the scalar tier
+        for mem, idx, old in reversed(launch.undo):
+            mem.buf[idx] = old
+        name = kernel.fn.name
+        mod = kernel.module
+        mod.vector_entries.pop(name, None)
+        mod.vector_fallbacks[name] = f"{name}: cross-lane hazard on {hz.base!r}"
+        get_metrics().counter("engine.vector.fallback").inc()
+        return _launch_kernel_impl(device, kernel, grid, block, args,
+                                   dynamic_shared, framework)
 
     # scale sampled transaction counts to the full grid
     if sampled and total_groups > sampled:
@@ -757,7 +800,7 @@ def _launch_kernel_impl(device: Device, kernel: KernelObject,
             launch.counters.global_transactions * scale)
 
     compiler = "nvcc" if framework == "cuda" else spec.opencl_compiler
-    regs = estimate_registers(kernel.fn, compiler)
+    regs = kernel.registers(compiler)
     occ = calc_occupancy(spec, threads_per_block, regs, shared_per_block)
     kt = kernel_time(launch.counters, spec, occ)
     if _PROFILE_SINK is not None:
@@ -767,9 +810,60 @@ def _launch_kernel_impl(device: Device, kernel: KernelObject,
             counters=copy.copy(launch.counters),
             threads_per_block=threads_per_block,
             shared_per_block=shared_per_block,
-            regs_by_compiler={c: estimate_registers(kernel.fn, c)
+            regs_by_compiler={c: kernel.registers(c)
                               for c in KNOWN_COMPILERS}))
     return LaunchResult(launch.counters, kt, occ, launch.stdout)
+
+
+def _arm_hazard_guard(launch: _LaunchEnv, args: Sequence[Any]) -> None:
+    """Arm the cross-lane hazard guard of a launch that will run
+    warp-batched: its warps record the access sites the kernel's hazard
+    map marks for this launch, and its global stores keep an undo log."""
+    kernel = launch.kernel
+    mod = kernel.module
+    name = kernel.fn.name
+    if mod.exec_tier != "vector" or name not in mod.vector_entries:
+        return
+    hmap = mod.vector_hazards.get(name)
+    if hmap is None:
+        return
+    aliased = hmap.alias_sensitive and _shares_allocation(launch, args)
+    sites = hmap.sites(aliased, _own_dims(launch.block,
+                                          launch.device.spec.warp_size))
+    if sites:
+        launch.hazard_sites = sites
+        launch.hazard_names = hmap.names
+        launch.undo = []
+
+
+def _shares_allocation(launch: _LaunchEnv, args: Sequence[Any]) -> bool:
+    """Whether two global pointer arguments, or one and a module symbol,
+    point into the same allocation of the global pool."""
+    gmem = launch._gmem
+    ptrs = [a for a in args if isinstance(a, Ptr) and a.mem is gmem]
+    ptrs += [p for p in launch.kernel.module.symbols.values()
+             if p.mem is gmem]
+    blocks = [gmem.allocator.block_of(p.off) for p in ptrs]
+    return None in blocks or len(set(blocks)) != len(blocks)
+
+
+#: (block, warp size) -> the dimensions whose work-item ids are distinct
+#: within every warp
+_OWN_DIMS: Dict[Tuple[Tuple[int, int, int], int], Tuple[int, ...]] = {}
+
+
+def _own_dims(block: Tuple[int, int, int], warp: int) -> Tuple[int, ...]:
+    got = _OWN_DIMS.get((block, warp))
+    if got is None:
+        bx, by, bz = block
+        ids = [[(lin % bx, lin // bx % by, lin // (bx * by))[d]
+                for lin in range(bx * by * bz)]
+               for d in range(3)]
+        windows = warp_windows(len(ids[0]), warp)
+        got = _OWN_DIMS[(block, warp)] = tuple(
+            d for d in range(3)
+            if all(len(set(ids[d][lo:hi])) == hi - lo for lo, hi in windows))
+    return got
 
 
 def _pad3(v: Sequence[int]) -> Tuple[int, int, int]:
@@ -829,11 +923,13 @@ def _run_group(launch: _LaunchEnv, group: Tuple[int, int, int],
         from ..clike.vectorize import WarpEnv
         bound = _bind_args(
             kernel.fn, [dyn_ptrs.get(i, a) for i, a in enumerate(args)], None)
-        programs = [
-            GeneratorProgram(ventry(WarpEnv(launch, group, lo, hi), *bound),
-                             range(lo, hi))
-            for lo, hi in warp_windows(threads,
-                                       launch.device.spec.warp_size)]
+        programs = []
+        for lo, hi in warp_windows(threads, launch.device.spec.warp_size):
+            wenv = WarpEnv(launch, group, lo, hi)
+            gen = ventry(wenv, *bound)
+            programs.append(_GuardedWarp(gen, range(lo, hi), wenv)
+                            if launch.undo is not None
+                            else GeneratorProgram(gen, range(lo, hi)))
         _drive_group(launch, programs)
         return
 
@@ -864,6 +960,28 @@ def _run_group(launch: _LaunchEnv, group: Tuple[int, int, int],
                         prog = drv.wrap_program(prog, interp, env)
                     programs.append(prog)
     _drive_group(launch, programs)
+
+
+class _GuardedWarp(GeneratorProgram):
+    """A warp program of a guarded launch: every barrier interval ends
+    with its cross-lane hazard check, an interval that raised too."""
+
+    __slots__ = ("env",)
+
+    def __init__(self, gen: Any, lanes: range, env: Any) -> None:
+        super().__init__(gen, lanes)
+        self.env = env
+
+    def resume(self, value: Any = None) -> Any:
+        try:
+            tok = self.gen.send(value)
+        except StopIteration:
+            tok = DONE
+        except Exception:
+            self.env.check_interval()
+            raise
+        self.env.check_interval()
+        return tok
 
 
 def _bind_args(fn: A.FunctionDecl, args: Sequence[Any],

@@ -56,6 +56,17 @@ class MemoryFault(DeviceError):
     """Out-of-bounds or misaligned access to a simulated memory pool."""
 
 
+class CrossLaneHazard(Exception):
+    """A warp-batched launch reordered two lanes' conflicting accesses;
+    the engine undoes the launch and re-runs it on the scalar tier.
+    Never leaves the engine."""
+
+    def __init__(self, base: str) -> None:
+        super().__init__(base)
+        #: the name of the memory the two accesses shared
+        self.base = base
+
+
 # ---------------------------------------------------------------------------
 # Host frameworks
 # ---------------------------------------------------------------------------

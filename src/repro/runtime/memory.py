@@ -88,6 +88,13 @@ class Allocator:
     def allocated_size(self, offset: int) -> Optional[int]:
         return self._live.get(offset)
 
+    def block_of(self, offset: int) -> Optional[int]:
+        """Start of the live block holding ``offset``, or None."""
+        for start, size in self._live.items():
+            if start <= offset < start + size:
+                return start
+        return None
+
     def free_bytes(self) -> int:
         return sum(sz for _, sz in self._free)
 

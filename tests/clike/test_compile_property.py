@@ -168,12 +168,11 @@ def test_generated_kernel_identical_vector(seed):
 # typed seeds: the working local over every integer type
 # ---------------------------------------------------------------------------
 
-#: working-local type -> the rung its kernels run on under ``vector``: the
-#: warp emitter holds integer lanes in int64, so unsigned 64-bit registers
-#: stay on the scalar compiled tier
+#: working-local type -> the rung its kernels run on under ``vector``:
+#: every integer type, unsigned 64-bit ones in exact lanes
 TYPED_RUNGS = {"char": "vector", "uchar": "vector", "short": "vector",
                "ushort": "vector", "int": "vector", "uint": "vector",
-               "long": "vector", "ulong": "compiled", "size_t": "compiled"}
+               "long": "vector", "ulong": "vector", "size_t": "vector"}
 
 _WRAP_CONSTANTS = (255, 65535, 2147483647, 4294967295)
 
@@ -256,11 +255,8 @@ def test_typed_kernel_identical_all_tiers(ty, seed):
     d2, r2, m2 = _run_typed(src, "compiled")
     d3, r3, m3 = _run_typed(src, "vector")
     assert "typed" in m2.compiled_entries, m2.compile_fallbacks
-    if TYPED_RUNGS[ty] == "vector":
-        assert "typed" in m3.vector_entries, m3.vector_fallbacks
-    else:
-        assert "typed" in m3.compiled_entries
-        assert "register type" in m3.vector_fallbacks["typed"]
+    assert TYPED_RUNGS[ty] == "vector"
+    assert "typed" in m3.vector_entries, m3.vector_fallbacks
     assert d2 == d1
     assert d3 == d1
     assert r2.counters == r1.counters
@@ -312,6 +308,400 @@ def test_int64_min_division_identical_all_tiers():
             assert got.tobytes() == want.tobytes(), tier
         assert res.counters == r1.counters
         assert res.time == r1.time
+
+
+# ---------------------------------------------------------------------------
+# unsigned 64-bit lanes: values past int64, held exactly
+# ---------------------------------------------------------------------------
+
+_WIDE = """
+__kernel void wide(__global const int* iin, __global ulong* uout,
+                   __global long* lout, __global double* dout,
+                   __global int* iout, ulong big, int n) {
+  size_t g = get_group_id(0) * get_local_size(0) + get_local_id(0);
+  int gid = get_global_id(0);
+  if (gid >= n) return;
+  ulong w = (ulong)iin[g];
+  size_t m = (size_t)-1;
+  ulong s = w + big;
+  ulong p = w * (ulong)3 - (ulong)gid;
+  int c = (w > big) + 2 * (w < (ulong)gid) + 4 * (s == p) + 8 * (m > w);
+  ulong q = w / (ulong)7 + w % (ulong)5 + (w >> 3) + (w << 2);
+  double f = (double)w + (double)s * 0.5;
+  ulong back = (ulong)(f * 0.25);
+  uout[g] = s ^ q;
+  uout[g + n] = w < big ? w : big;
+  uout[g + 2 * n] = uout[g] / (ulong)(gid + 1) + m;
+  lout[g] = (long)(m - w) + (long)back;
+  dout[g] = f + (double)(big - (ulong)gid);
+  iout[g] = c + (int)(q & (ulong)255) + (int)(big >> 60) + gid;
+}
+"""
+
+
+def _run_wide(tier, big):
+    dev = Device(GTX_TITAN)
+    mod = load_module(dev, parse(_WIDE, "opencl"), "opencl", exec_tier=tier)
+    iin = np.random.default_rng(11).integers(-1000, 1000, N).astype(np.int32)
+    iin[::5] = -1
+    outs = [dev.alloc_global(sz * N * k)
+            for sz, k in ((8, 3), (8, 1), (8, 1), (4, 1))]
+    res = launch_kernel(
+        dev, mod.get_kernel("wide"), [GROUPS], [BLOCK],
+        [_upload(dev, iin).retype(T.INT), outs[0].retype(T.ULONG),
+         outs[1].retype(T.LONG), outs[2].retype(T.DOUBLE),
+         outs[3].retype(T.INT), big, N])
+    data = b"".join(bytes(dev.global_mem.view(p.off, sz * N * k))
+                    for p, (sz, k) in zip(outs, ((8, 3), (8, 1), (8, 1),
+                                                 (4, 1))))
+    return data, res, mod
+
+
+@pytest.mark.parametrize("big", [2**64 - 5, 2**63, 12345])
+def test_unsigned_64bit_lanes_identical_all_tiers(big):
+    """Values at and past 2**63 from negative ints cast to ``ulong``,
+    ``(size_t)-1`` and a uniform ``ulong`` parameter near 2**64 mixed
+    with int lanes: wrap-around, compares, ``/ % >> <<``, float
+    conversion, ``ulong*`` loads and stores through a ``size_t`` index
+    built from the group id, on the vector rung."""
+    d1, r1, _ = _run_wide("interp", big)
+    u = np.frombuffer(d1[:8 * N * 3], np.uint64)
+    assert int(u.max()) >= 2**63 or big < 2**63
+    for tier in ("compiled", "vector"):
+        d, r, mod = _run_wide(tier, big)
+        if tier == "vector":
+            assert "wide" in mod.vector_entries, mod.vector_fallbacks
+        assert d == d1, tier
+        assert r.counters == r1.counters
+        assert r.time == r1.time
+
+
+_WIDE_INDEX = """
+__kernel void far(__global const int* iin, __global int* out, int n) {
+  int gid = get_global_id(0);
+  if (gid < n) out[(size_t)iin[gid]] = gid;
+}
+"""
+
+
+@pytest.mark.parametrize("tier", ["interp", "compiled", "vector"])
+def test_index_past_int64_faults_at_the_first_lane(tier):
+    """A ``size_t`` index of 2**64 - 3 raises the interpreter's
+    ``MemoryFault`` for the first faulting lane on every tier, not an
+    ``OverflowError``."""
+    from repro.errors import MemoryFault
+    dev = Device(GTX_TITAN)
+    mod = load_module(dev, parse(_WIDE_INDEX, "opencl"), "opencl",
+                      exec_tier=tier)
+    iin = np.arange(N, dtype=np.int32)
+    iin[5] = -3
+    iin[9] = -7
+    out = dev.alloc_global(4 * N)
+    with pytest.raises(MemoryFault) as err:
+        launch_kernel(dev, mod.get_kernel("far"), [GROUPS], [BLOCK],
+                      [_upload(dev, iin).retype(T.INT), out.retype(T.INT),
+                       N])
+    if tier == "vector":
+        assert "far" in mod.vector_entries, mod.vector_fallbacks
+    want = out.off + (2**64 - 3) * 4
+    assert f"access [{want}, {want + 4})" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# uniform pointer registers and *p
+# ---------------------------------------------------------------------------
+
+_POINTERS = """
+extern __shared__ char smem[];
+
+__global__ void ptrs(const float* in, float* out, int* flag, int n) {
+  int lid = threadIdx.x;
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  float* t = (float*)smem;
+  const float* src = in + 2;
+  t[lid] = src[i % n];
+  __syncthreads();
+  out[i] = t[(lid + 1) % 32] + *src;
+  *flag = lid;
+}
+"""
+
+
+def test_pointer_registers_identical_all_tiers():
+    """The shape OpenCL->CUDA gives ``__local`` parameters: a pointer
+    register cast from the extern shared region, one from pointer
+    arithmetic on a parameter, a ``*p`` load and a ``*p`` store from
+    every lane: equal on all three tiers, on the vector rung."""
+    def run(tier):
+        dev = Device(GTX_TITAN)
+        mod = load_module(dev, parse(_POINTERS, "cuda"), "cuda",
+                          exec_tier=tier)
+        src = _upload(dev, np.arange(N + 2, dtype=np.float32) * 0.5)
+        out = dev.alloc_global(4 * N)
+        flag = dev.alloc_global(4)
+        res = launch_kernel(dev, mod.get_kernel("ptrs"), [GROUPS], [BLOCK],
+                            [src.retype(T.FLOAT), out.retype(T.FLOAT),
+                             flag.retype(T.INT), N],
+                            dynamic_shared=4 * BLOCK)
+        data = bytes(dev.global_mem.view(out.off, 4 * N)) + bytes(
+            dev.global_mem.view(flag.off, 4))
+        return data, res, mod
+    d1, r1, _ = run("interp")
+    for tier in ("compiled", "vector"):
+        d, r, mod = run(tier)
+        assert d == d1, tier
+        assert r.counters == r1.counters
+        assert r.time == r1.time
+    assert "ptrs" in mod.vector_entries, mod.vector_fallbacks
+
+
+# ---------------------------------------------------------------------------
+# operands with effects, evaluated only on the lanes that select them
+# ---------------------------------------------------------------------------
+
+#: ``l[lid * 1000]`` lies past the group's local memory for every lane but
+#: lane 0: evaluated on a lane that does not select it, it faults
+_IMPURE = {
+    "arm": "out[i] = lid < 1 ? l[lid * 1000] : l[lid] - 1;",
+    "and": "out[i] = (lid < 1 && l[lid * 1000] > 0) ? 5 : l[lid];",
+    "or": "out[i] = (lid >= 1 || l[lid * 1000] > 3) + 2;",
+    "nested-arm": "int u = lid < 1 ? (lid < 1 ? l[lid * 1000] : 3) : 4;"
+                  " out[i] = u;",
+    "two-arms": "out[i] = (lid < 1 ? l[lid * 1000] : 0)"
+                " + (lid > 2 ? l[lid - 1] : l[lid]);",
+}
+
+#: the same shapes where hoisting would reorder or run the operand
+#: unconditionally: each keeps its reason
+_IMPURE_KEPT = {
+    "in-uniform-arm": ("out[i] = n > 0 ? (lid < 1 ? l[lid * 1000] : -1) : 0;",
+                       "impure arm of varying conditional"),
+    "after-load": ("out[i] = l[0] + (lid < 1 ? l[lid * 1000] : -1);",
+                   "impure arm of varying conditional"),
+    "and-after-load": ("out[i] = l[1] + (lid < 1 && l[lid * 1000] > 0);",
+                       "impure rhs of varying '&&'"),
+}
+
+
+def _impure_kernel(stmt):
+    return f"""
+__kernel void sel(__global const int* a, __global int* out, int n) {{
+  __local int l[16];
+  int i = get_global_id(0);
+  int lid = get_local_id(0);
+  if (lid < 16) l[lid] = a[i];
+  barrier(CLK_LOCAL_MEM_FENCE);
+  {stmt}
+}}
+"""
+
+
+def _run_impure(src, tier):
+    dev = Device(GTX_TITAN)
+    mod = load_module(dev, parse(src, "opencl"), "opencl", exec_tier=tier)
+    a = np.arange(N, dtype=np.int32) * 7 % 11
+    out = dev.alloc_global(4 * N)
+    res = launch_kernel(dev, mod.get_kernel("sel"), [GROUPS], [BLOCK],
+                        [_upload(dev, a).retype(T.INT), out.retype(T.INT),
+                         N])
+    return bytes(dev.global_mem.view(out.off, 4 * N)), res, mod
+
+
+@pytest.mark.parametrize("shape", sorted(_IMPURE))
+def test_impure_operand_runs_on_its_own_lanes(shape):
+    """A load in a varying conditional's arm or a varying ``&&``/``||``
+    rhs runs, with its counts and traces, only on the lanes that select
+    it: no fault from the other lanes, and everything equal on all
+    three tiers, on the vector rung."""
+    src = _impure_kernel(_IMPURE[shape])
+    d1, r1, _ = _run_impure(src, "interp")
+    for tier in ("compiled", "vector"):
+        d, r, mod = _run_impure(src, tier)
+        if tier == "vector":
+            assert "sel" in mod.vector_entries, mod.vector_fallbacks
+        assert d == d1, tier
+        assert r.counters == r1.counters
+        assert r.time == r1.time
+
+
+@pytest.mark.parametrize("shape", sorted(_IMPURE_KEPT))
+def test_impure_operand_keeps_its_reason(shape):
+    """Inside a uniform-condition arm, or after a load in the same
+    statement, the operand stays outside the vector subset: the kernel
+    runs on the scalar tier, with the reason, and still equals the
+    interpreter."""
+    stmt, why = _IMPURE_KEPT[shape]
+    src = _impure_kernel(stmt)
+    d1, r1, _ = _run_impure(src, "interp")
+    d3, r3, mod = _run_impure(src, "vector")
+    assert "sel" not in mod.vector_entries
+    assert why in mod.vector_fallbacks["sel"]
+    assert d3 == d1
+    assert r3.counters == r1.counters
+    assert r3.time == r1.time
+
+
+# ---------------------------------------------------------------------------
+# cross-lane hazards: a lane of a warp accessing what another lane of the
+# warp accessed in the same barrier interval, one of them a store
+# ---------------------------------------------------------------------------
+
+_PROP = """
+__kernel void prop(__global int* a, int n) {
+  int i = get_global_id(0);
+  a[i] = a[(i + n - 1) % n] + 1;
+  a[n] = a[n] + 1;
+}
+"""
+
+
+def _run_prop(tier):
+    dev = Device(GTX_TITAN)
+    mod = load_module(dev, parse(_PROP, "opencl"), "opencl", exec_tier=tier)
+    p = _upload(dev, np.arange(65, dtype=np.int32))
+    res = launch_kernel(dev, mod.get_kernel("prop"), [1], [64],
+                        [p.retype(T.INT), 64])
+    return dev.global_mem.typed_view(p.off, T.INT, 65).copy(), res, mod
+
+
+def test_cross_lane_hazard_reruns_on_the_scalar_tier():
+    """Lane i reads what lane i - 1 writes, and every lane updates a[n]:
+    the interpreter runs each lane to the end before the next, so the
+    vector tier's statement-at-a-time warps would store [64, 1, 2, 3]
+    and 66.  The guard re-runs the launch on the scalar tier and demotes
+    the kernel: buffers, counters and modeled time equal on all tiers."""
+    a1, r1, _ = _run_prop("interp")
+    assert a1[:4].tolist() == [64, 65, 66, 67] and a1[64] == 128
+    for tier in ("compiled", "vector"):
+        a, r, mod = _run_prop(tier)
+        assert a.tobytes() == a1.tobytes(), tier
+        assert r.counters == r1.counters
+        assert r.time == r1.time
+    assert "prop" not in mod.vector_entries
+    assert "prop" in mod.compiled_entries
+    assert mod.vector_fallbacks["prop"] == "prop: cross-lane hazard on 'a'"
+
+
+_HAZARD_SHAPES = {
+    "stencil": ("a[i] = a[(i + D + n) % n] * 3 + 1;",
+                "int t = a[(i + D + n) % n]; barrier(CLK_GLOBAL_MEM_FENCE);"
+                " a[i] = t * 3 + 1;"),
+    "local": ("l[lid] = l[(lid + D + 64) % 64] * 3 + 1;",
+              "int t = l[(lid + D + 64) % 64]; barrier(CLK_LOCAL_MEM_FENCE);"
+              " l[lid] = t * 3 + 1;"),
+    "uniform": ("a[k] = a[k] + i;", "a[k] += i;"),
+    "indirect": ("a[idx[i]] = a[i] + 1;", "a[idx[i]] = b[i] + 1;"),
+    "alias": ("b[i] = a[(i + D + n) % n] + 1;",
+              "int t = a[(i + D + n) % n]; barrier(CLK_GLOBAL_MEM_FENCE);"
+              " b[i] = t + 1;"),
+}
+
+
+def gen_hazard_kernel(seed: int):
+    """A seeded hazard shape: in-place stencils over global and local
+    memory (with and without a barrier between the read and the write),
+    a uniform-index read-modify-write, an indirect store through
+    duplicate indices, and one buffer passed as two arguments."""
+    rng = random.Random(f"hazard/{seed}")
+    shape = sorted(_HAZARD_SHAPES)[seed % len(_HAZARD_SHAPES)]
+    stmt = _HAZARD_SHAPES[shape][seed // len(_HAZARD_SHAPES) % 2]
+    stmt = stmt.replace("D", str(rng.randint(-2, 2)))
+    src = f"""
+__kernel void haz(__global int* a, __global int* b,
+                  __global const int* idx, int n, int k) {{
+  __local int l[64];
+  int i = get_global_id(0);
+  int lid = get_local_id(0);
+  l[lid] = a[i];
+  barrier(CLK_LOCAL_MEM_FENCE);
+  {stmt}
+  barrier(CLK_LOCAL_MEM_FENCE);
+  b[i] = b[i] + l[lid];
+}}
+"""
+    return src, shape == "alias"
+
+
+def _run_hazard(src, alias, tier):
+    dev = Device(GTX_TITAN)
+    mod = load_module(dev, parse(src, "opencl"), "opencl", exec_tier=tier)
+    rng = np.random.default_rng(3)
+    a = _upload(dev, rng.integers(-50, 50, N).astype(np.int32))
+    b = a if alias else _upload(dev, rng.integers(-50, 50, N).astype(
+        np.int32))
+    idx = _upload(dev, rng.integers(0, N // 4, N).astype(np.int32))
+    res = launch_kernel(dev, mod.get_kernel("haz"), [GROUPS], [64],
+                        [a.retype(T.INT), b.retype(T.INT),
+                         idx.retype(T.INT), GROUPS * 64, 7])
+    data = b"".join(bytes(dev.global_mem.view(p.off, 4 * GROUPS * 64))
+                    for p in (a, b))
+    return data, res, mod
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_hazard_shapes_identical_all_tiers(seed):
+    src, alias = gen_hazard_kernel(seed)
+    d1, r1, _ = _run_hazard(src, alias, "interp")
+    for tier in ("compiled", "vector"):
+        d, r, _mod = _run_hazard(src, alias, tier)
+        assert d == d1, tier
+        assert r.counters == r1.counters
+        assert r.time == r1.time
+
+
+_WAVE = """
+__kernel void wave(__global int* s, int dim, int w) {
+  int t = get_global_id(0);
+  int y = t + 1;
+  int x = w - t - 1;
+  if (y >= 1 && y < dim && x >= 1 && x < dim) {
+    int up = s[(y - 1) * dim + x];
+    int lf = s[y * dim + x - 1];
+    s[y * dim + x] = up > lf ? up + 1 : lf + 2;
+  }
+}
+"""
+
+_OWN = """
+__kernel void own(__global int* a, int n) {
+  int i = get_global_id(0);
+  if (i < n) a[i] = a[i] * 2 + i;
+}
+"""
+
+
+@pytest.mark.parametrize("which", ["wave", "own"])
+def test_race_free_kernels_keep_the_vector_rung(which):
+    """Controls: a wavefront that loads the row above and the column to
+    the left and stores one anti-diagonal per launch (rodinia nw), and a
+    lane-own update, stay vectorized and equal; the lane-own update's
+    accesses are not even recorded."""
+    def run(tier):
+        dev = Device(GTX_TITAN)
+        src = _WAVE if which == "wave" else _OWN
+        mod = load_module(dev, parse(src, "opencl"), "opencl",
+                          exec_tier=tier)
+        dim = 12
+        p = _upload(dev, (np.arange(dim * dim, dtype=np.int32) * 5) % 17)
+        results = []
+        if which == "wave":
+            for w in range(2, 2 * (dim - 1) + 1):
+                results.append(launch_kernel(
+                    dev, mod.get_kernel("wave"), [1], [64],
+                    [p.retype(T.INT), dim, w]))
+        else:
+            results.append(launch_kernel(
+                dev, mod.get_kernel("own"), [GROUPS], [BLOCK],
+                [p.retype(T.INT), dim * dim]))
+        return bytes(dev.global_mem.view(p.off, 4 * dim * dim)), results, mod
+    d1, rs1, _ = run("interp")
+    d3, rs3, mod = run("vector")
+    assert which in mod.vector_entries, mod.vector_fallbacks
+    assert d3 == d1
+    assert [r.counters for r in rs3] == [r.counters for r in rs1]
+    assert [r.time for r in rs3] == [r.time for r in rs1]
+    if which == "own":
+        assert not mod.vector_hazards["own"].sites(False, (0,))
 
 
 # ---------------------------------------------------------------------------

@@ -191,13 +191,36 @@ def test_corpus_kernels_fully_vectorized():
 
 
 def test_corpus_kernel_demotes_vector_to_compiled():
-    """Middle edge: srad's divergent-update kernels are outside the
-    vector subset but still scalar-compile."""
-    mod = _load_vector_module("rodinia", "srad", "ocl")
-    assert "srad1" in mod.vector_fallbacks
-    assert "srad2" in mod.vector_fallbacks
-    assert "srad1" in mod.compiled_entries  # one rung down, not two
+    """Middle edge: IS's histogram kernel calls an atomic builtin, which
+    is outside the vector subset, but still scalar-compiles."""
+    mod = _load_vector_module("npb", "IS", "ocl")
+    assert "histo" in mod.vector_fallbacks
+    assert "atomic_add" in mod.vector_fallbacks["histo"]
+    assert "histo" not in mod.vector_entries
+    assert "histo" in mod.compiled_entries  # one rung down, not two
     assert mod.compile_fallbacks == {}
+
+
+@pytest.mark.parametrize("mode", ["ocl", "cuda"])
+def test_hazard_demotes_kernel_at_run_time(mode, shared_run):
+    """srad2 updates ``img`` in place from its neighbours, so a warp's
+    lanes read what a lower lane of the same warp wrote: it vectorizes
+    statically, the guard catches the reordering on its first launch,
+    re-runs that launch on the scalar tier and demotes the kernel, and
+    the run still equals the interpreter's."""
+    mod = _load_vector_module("rodinia", "srad", mode)
+    assert {"srad1", "srad2"} <= set(mod.vector_entries)
+    app = find_app("rodinia", "srad")
+    interp, _ = shared_run(app, mode, "interp")
+    with _loaded_modules() as mods:
+        vector = _run(app, mode, "vector")
+    _assert_identical(interp, vector)
+    (mod,) = mods
+    assert "srad1" in mod.vector_entries
+    assert "srad2" not in mod.vector_entries
+    assert "srad2" in mod.compiled_entries
+    assert mod.vector_fallbacks["srad2"] == \
+        "srad2: cross-lane hazard on 'img'"
 
 
 def test_corpus_kernel_demotes_through_both_edges(shared_run):
