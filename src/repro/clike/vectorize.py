@@ -38,10 +38,10 @@ except for the hazard guard's, which happens at run time.
 
 The subset covers every scalar type, uniform pointer registers and
 ``*p``, and varying conditionals and ``&&``/``||`` whose operand has
-effects: that operand runs as hoisted lines on the lanes selecting it
-(only when nothing with effects ran earlier in the statement and no
-inline conditional encloses it, so the interpreter's evaluation order
-holds).
+effects (a load, or an operator that may raise, such as a division):
+that operand runs as hoisted lines on the lanes selecting it (only when
+nothing with effects ran earlier in the statement and no inline
+conditional encloses it, so the interpreter's evaluation order holds).
 
 Numeric fidelity notes (all mirrored, not approximated):
 
@@ -51,7 +51,8 @@ Numeric fidelity notes (all mirrored, not approximated):
   numpy promotes an int64/uint64 mix);
 * float64 lane math is IEEE-identical to Python float math;
 * ``float`` / ``half`` coercions round through float64 first (two-step,
-  matching ``_f32``/``_f16``);
+  matching ``_f32``/``_f16``), and a finite value past binary32 raises
+  ``_f32``'s ``OverflowError``;
 * C division/modulo reproduce ``_c_div``/``_c_mod`` including the
   divide-by-zero infinities, truncation toward zero, and the exact
   ``InterpError``/``ValueError``/``OverflowError`` raises;
@@ -66,7 +67,7 @@ Numeric fidelity notes (all mirrored, not approximated):
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -81,7 +82,7 @@ from .interp import _apply_binop, _c_div, _c_mod, _truth
 from .sema import resolve_conversion
 from .stdlib import NAMED_CONSTANTS
 
-__all__ = ["WarpEnv", "WARP_HELPERS", "HazardMap"]
+__all__ = ["WarpEnv", "WARP_HELPERS", "HazardMap", "undo_stores"]
 
 _I8 = np.dtype(np.int64)
 _F8 = np.dtype(np.float64)
@@ -249,8 +250,8 @@ class WarpEnv:
         if site in self.hz:
             self.hzlog.append((site, mem, offs, al, esz, store, wire))
         if store and mem.space is not _SPL and len(offs):
-            idx = offs[:, None] + _R[esz]
-            self.undo.append((mem, idx, mem.buf[idx]))
+            old = mem.buf[offs[:, None] + _R[esz]]
+            self.undo.append((mem, offs, esz, old))
 
     def check_interval(self) -> None:
         """End of a barrier interval: raise :class:`CrossLaneHazard` when
@@ -274,8 +275,7 @@ def _inversion(log: List[_Rec]) -> Optional[int]:
     """The site of a conflicting access that batching reordered, or None.
 
     Record ``t`` of ``log`` ran before record ``t + 1``; inside one
-    record the lanes ran in lane order.  Keyed by byte (by element when
-    every record has one element size and alignment), an access by lane
+    record the lanes ran in lane order.  Keyed by byte, an access by lane
     ``k`` inverts when an earlier record accessed its byte from a lane
     above ``k`` and one of the two accesses is a store.  Two stores of
     the same value to a byte that no store writes otherwise leave memory
@@ -283,44 +283,32 @@ def _inversion(log: List[_Rec]) -> Optional[int]:
     if len(log) < 2 or not any(r[5] for r in log):
         return None
     mems: Dict[int, int] = {}
-    esz0 = log[0][4]
-    res0 = int(log[0][2][0]) % esz0 if len(log[0][2]) else 0
-    bytewise = any(r[4] != esz0 or (len(r[2]) and int(r[2][0]) % esz0 != res0)
-                   for r in log)
-    if not bytewise:
-        # prefilter, linear in the accesses: no element is stored by two
-        # records, or stored by one and loaded by another
-        stored: Dict[Tuple[int, int], int] = {}
-        for t, r in enumerate(log):
-            if r[5]:
-                m = id(r[1])
-                for off in set(r[2].tolist()):
-                    stored[(m, off)] = t if (m, off) not in stored else -1
-        if -1 not in stored.values() and not any(
-                (id(r[1]), off) in stored
-                for r in log if not r[5] for off in r[2].tolist()):
-            return None
-    keys, lanes, ts, stores, sites, vals = [], [], [], [], [], []
-    for t, (site, mem, offs, al, esz, store, wire) in enumerate(log):
-        base = mems.setdefault(id(mem), len(mems)) << 40
-        if bytewise:
-            k = (offs[:, None] + _R[esz]).ravel() + base
-            ln = np.repeat(al, esz)
-            v = None if wire is None else wire.view(np.uint8).astype(_I8)
-        else:
-            k = offs + base
-            ln = al
-            v = None if wire is None else \
-                wire.view(f"<u{esz}").astype(_I8)
-        keys.append(k)
-        lanes.append(ln)
+    keys = [(r[2][:, None] + _R[r[4]]).ravel()
+            + (mems.setdefault(id(r[1]), len(mems)) << 40) for r in log]
+    # prefilter, linear in the accesses: no byte is stored by two
+    # records, or stored by one and loaded by another
+    stored: Set[int] = set()
+    nstored = 0
+    for r, k in zip(log, keys):
+        if r[5]:
+            got = set(k.tolist())
+            nstored += len(got)
+            stored |= got
+    if nstored == len(stored) and all(
+            stored.isdisjoint(k.tolist())
+            for r, k in zip(log, keys) if not r[5]):
+        return None
+    lanes, ts, stores, sites, vals = [], [], [], [], []
+    for t, ((site, _mem, _offs, al, esz, store, wire), k) in enumerate(
+            zip(log, keys)):
+        lanes.append(np.repeat(al, esz))
         ts.append(np.full(len(k), t, dtype=_I8))
         stores.append(np.full(len(k), store))
         sites.append(np.full(len(k), site, dtype=_I8))
         # loads carry no value; a store of unknown values one that no
         # other store matches
-        vals.append(v if v is not None else np.full(len(k), -1 - store,
-                                                    dtype=_I8))
+        vals.append(wire.view(np.uint8).astype(_I8) if wire is not None
+                    else np.full(len(k), -1 - store, dtype=_I8))
     key = np.concatenate(keys)
     st = np.concatenate(stores)
     sel = np.isin(key, key[st])
@@ -353,6 +341,14 @@ def _inversion(log: List[_Rec]) -> Optional[int]:
     if not inv.any():
         return None
     return int(site[int(np.argmax(inv))])
+
+
+def undo_stores(log: List[Tuple[Memory, np.ndarray, int, np.ndarray]]
+                ) -> None:
+    """Put back the bytes a guarded launch's global stores overwrote
+    (:meth:`WarpEnv.guard` logs them), newest store first."""
+    for mem, offs, esz, old in reversed(log):
+        mem.buf[offs[:, None] + _R[esz]] = old
 
 
 # resolved late to avoid importing the engine at module import time
@@ -535,11 +531,21 @@ def _vfl(x: Any) -> Any:
     return float(x)
 
 
+def _narrow(fv: np.ndarray, dt: np.dtype) -> np.ndarray:
+    """``fv.astype(dt)``, where a finite lane that overflows binary32
+    raises the interpreter's packing error (``_f32``, ``write_scalar``)."""
+    r = fv.astype(dt)
+    if (dt.itemsize == 4 and not np.isfinite(r).all()
+            and (np.isinf(r) & np.isfinite(fv)).any()):
+        raise OverflowError("float too large to pack with f format")
+    return r
+
+
 def _vf32(x: Any) -> Any:
     """Lane-wise binary32 round-trip; rounds through float64 first so int
     lanes double-round exactly like ``_f32(float(v))``."""
     if isinstance(x, np.ndarray):
-        return _vfl(x).astype(_DTYPES["float"]).astype(_F8)
+        return _narrow(_vfl(x), _DTYPES["float"]).astype(_F8)
     return _f32(x)
 
 
@@ -745,8 +751,8 @@ def _towire(v: Any, n: int, dt: np.dtype, esz: int) -> np.ndarray:
             fv = _vfl(v)
             if fv.dtype == dt and fv.flags.c_contiguous:
                 return fv
-            return fv.astype(dt)
-        return np.full(n, float(v), dtype=dt)
+            return _narrow(fv, dt)
+        return _narrow(np.full(n, float(v)), dt)
     iv = _vix(v)
     if isinstance(iv, np.ndarray):
         if iv.dtype == object:
@@ -909,6 +915,38 @@ def _wide(t: Optional[T.Type]) -> bool:
     """Unsigned 64-bit integer types, whose values may leave int64."""
     return (isinstance(t, T.ScalarType) and not t.floating
             and not t.signed and t.size == 8)
+
+
+def _raises(e: A.Node) -> bool:
+    """Whether the interpreter may raise applying ``e``'s own operator:
+    an integer ``/`` or ``%`` by zero, ``fmod``'s domain errors, a
+    negative shift count, the ``int()`` of a non-finite float (a cast to
+    an integer type, a bitwise operator on a float) and a ``float``
+    narrowing that overflows."""
+    k = type(e)
+    if k is A.Cast:
+        t = e.type
+        if not isinstance(t, T.ScalarType):
+            return False
+        src = _kind_of(e.expr.ctype)
+        if t.floating:
+            return t.size == 4 and src == "f"
+        return src != "i"
+    if k is A.UnOp:
+        return e.op == "~" and _kind_of(e.operand.ctype) != "i"
+    if k is not A.BinOp:
+        return False
+    op = e.op
+    kinds = {_kind_of(e.lhs.ctype), _kind_of(e.rhs.ctype)}
+    ints = kinds == {"i"}
+    if op == "/" and "f" in kinds:
+        return False  # a float division by zero is an infinity
+    if op in ("/", "%", "<<", ">>"):
+        # safe by a literal: a nonzero divisor, any shift count
+        lit = e.rhs.value if isinstance(e.rhs, A.IntLit) else None
+        return (not ints or lit is None
+                or (lit == 0 and op in ("/", "%")))
+    return op in ("&", "|", "^") and not ints
 
 
 def _elem_of(bt: Optional[T.Type]) -> Optional[T.Type]:
@@ -1180,8 +1218,9 @@ class _VecFnCodegen(_CoreCodegen):
         return True
 
     def _pure(self, e: Optional[A.Node]) -> bool:
-        """No hooks, no counts beyond static ones, no writes: safe to
-        pre-evaluate eagerly for a varying short-circuit operand."""
+        """No hooks, no counts beyond static ones, no writes, no raise:
+        safe to pre-evaluate eagerly for a varying short-circuit
+        operand."""
         if e is None:
             return False
         k = type(e)
@@ -1193,14 +1232,17 @@ class _VecFnCodegen(_CoreCodegen):
                 return rec[0] in ("reg", "preg")
             return e.name in _CONST_KINDS
         if k is A.BinOp:
-            return self._pure(e.lhs) and self._pure(e.rhs)
+            return (not _raises(e) and self._pure(e.lhs)
+                    and self._pure(e.rhs))
         if k is A.UnOp:
-            return e.op in ("-", "+", "!", "~") and self._pure(e.operand)
+            return (e.op in ("-", "+", "!", "~") and not _raises(e)
+                    and self._pure(e.operand))
         if k is A.Cond:
             return (self._pure(e.cond) and self._pure(e.then)
                     and self._pure(e.orelse))
         if k is A.Cast:
-            return isinstance(e.type, T.ScalarType) and self._pure(e.expr)
+            return (isinstance(e.type, T.ScalarType) and not _raises(e)
+                    and self._pure(e.expr))
         if k is A.Member:
             return (not e.arrow and isinstance(e.base, A.Ident)
                     and e.base.name in _CUDA_SPECIALS and e.name in _XYZ)
@@ -1294,6 +1336,8 @@ class _VecFnCodegen(_CoreCodegen):
             return self.logical(e, cnt)
         a, ak, av = self.expr(e.lhs, cnt)
         b, bk, bv = self.expr(e.rhs, cnt)
+        if _raises(e):
+            self.impure = True
         if "p" in (ak, bk):
             return self._pointer_arith(e, a, ak, av, b, bk, bv, cnt)
         if ak not in "if" or bk not in "if":
@@ -1352,47 +1396,36 @@ class _VecFnCodegen(_CoreCodegen):
         cnt[1] += 1
         return f"_pb({e.op!r}, {a}, {b})", "p", False
 
-    def _lane_arm(self, sel: str, e: A.Node) -> Tuple[str, str, bool]:
+    def _lane_arm(self, sel: str, e: A.Node) -> Tuple[str, str]:
         """Hoist ``e`` as lines evaluating it over the active lanes mask
         ``sel`` keeps, its static counts scaled by their number; returns
-        the temp holding its value (None when no lane selects it)."""
-        outer, outer_full, outer_impure = self.act, self.full, self.impure
-        a = self.aux("a")
-        n = self.aux("n")
+        the temp holding its value (None when no lane selects it) and its
+        kind.  Callers hoist only when nothing with effects ran earlier in
+        the statement's text and no inline conditional encloses ``e``."""
         v = self.tmp()
         self.w(f"{v} = None")
-        self.w(f"{a} = {outer[0]}[{sel}]")
-        self.w(f"{n} = len({a})")
-        self.w(f"if {n}:")
-        self.ind += 1
-        self.act = (a, n)
-        self.full = False
-        self.impure = False
-        ac: List[int] = [0, 0]
-        code, k, vary = self.expr(e, ac)
-        self.flush(ac)
-        self.w(f"{v} = {code}")
-        self.ind -= 1
-        self.act, self.full, self.impure = outer, outer_full, outer_impure
-        return v, k, vary
+        kind: List[str] = []
 
-    def _can_hoist(self, before: bool) -> bool:
-        """Whether an operand with effects may be hoisted here: nothing
-        with effects ran earlier in the statement's text, and no inline
-        conditional encloses it."""
-        return not before and not self.inline
+        def arm() -> None:
+            self.impure = False
+            ac: List[int] = [0, 0]
+            code, k, _vary = self.expr(e, ac)
+            self.flush(ac)
+            self.w(f"{v} = {code}")
+            kind.append(k)
+        self._on_lanes(sel, arm)
+        return v, kind[0]
 
     def logical(self, e: A.BinOp, cnt: List[int]) -> Tuple[str, str, bool]:
         op = e.op
         before = self.impure
         a, ak, av = self.expr(e.lhs, cnt)
         if av and not self._pure(e.rhs):
-            if not self._can_hoist(before) or ak not in "if":
+            if before or self.inline or ak not in "if":
                 raise self.unsup(f"impure rhs of varying {op!r}")
             m = self.aux("m")
             self.w(f"{m} = _vmask({a}, {self.actn})")
-            t, bk, _bv = self._lane_arm(m if op == "&&" else f"~{m}",
-                                        e.rhs)
+            t, bk = self._lane_arm(m if op == "&&" else f"~{m}", e.rhs)
             if bk not in "if":
                 raise self.unsup(f"{op!r} on kinds {ak}{bk}")
             self.impure = before
@@ -1442,13 +1475,13 @@ class _VecFnCodegen(_CoreCodegen):
                 raise self.unsup("mixed-kind conditional")
             return (f"({a} if {self.truth(c, ck)} else {b})", ak, av or bv)
         if not (self._pure(e.then) and self._pure(e.orelse)):
-            if not self._can_hoist(before):
+            if before or self.inline:
                 raise self.unsup("impure arm of varying conditional")
             # each arm runs, with its loads, on the lanes selecting it
             m = self.aux("m")
             self.w(f"{m} = _vmask({c}, {self.actn})")
-            x, ak, _av = self._lane_arm(m, e.then)
-            y, bk, _bv = self._lane_arm(f"~{m}", e.orelse)
+            x, ak = self._lane_arm(m, e.then)
+            y, bk = self._lane_arm(f"~{m}", e.orelse)
             if ak != bk or ak not in "if":
                 raise self.unsup("mixed-kind varying conditional")
             self.impure = before
@@ -1477,6 +1510,8 @@ class _VecFnCodegen(_CoreCodegen):
         if op == "&":
             raise self.unsup(f"unary operator {op!r}")
         code, k, vary = self.expr(e.operand, cnt)
+        if _raises(e):
+            self.impure = True
         if op == "-" and k not in "if":
             raise self.unsup("unary minus on this kind")
         if op == "~" and k not in "if":
@@ -1573,6 +1608,8 @@ class _VecFnCodegen(_CoreCodegen):
         if isinstance(e.expr, A.InitList):
             raise self.unsup("compound literal")
         code, k, vary = self.expr(e.expr, cnt)
+        if _raises(e):
+            self.impure = True
         if isinstance(t, T.PointerType) and k == "p" and not vary:
             # the scalar tier's text: a retyped view of the same pointer
             return f"_cast({code}, {self.tref(t)})", "p", False
@@ -1836,8 +1873,13 @@ class _VecFnCodegen(_CoreCodegen):
             self._masked_arm(f"~{m}", s.orelse)
 
     def _masked_arm(self, sel: str, body: A.Node) -> None:
-        """Run ``body`` over the active lanes mask ``sel`` keeps, skipped
-        entirely when it keeps none (no hooks, no counts)."""
+        self.mask_depth += 1
+        self._on_lanes(sel, lambda: self.stmt(body))
+        self.mask_depth -= 1
+
+    def _on_lanes(self, sel: str, emit: Callable[[], None]) -> None:
+        """Emit ``emit``'s lines over the active lanes mask ``sel`` keeps,
+        skipped entirely when it keeps none (no hooks, no counts)."""
         outer, outer_full = self.act, self.full
         a = self.aux("a")
         n = self.aux("n")
@@ -1846,9 +1888,7 @@ class _VecFnCodegen(_CoreCodegen):
         self.w(f"if {n}:")
         self.act = (a, n)
         self.full = False
-        self.mask_depth += 1
-        self._block(lambda: self.stmt(body))
-        self.mask_depth -= 1
+        self._block(emit)
         self.act = outer
         self.full = outer_full
 
@@ -1978,7 +2018,10 @@ class _VecFnCodegen(_CoreCodegen):
     def _reg_base(self, name: str) -> Tuple[Tuple[str, str], str,
                                             Optional[str]]:
         """A pointer register points where every value written to it
-        does; it names one pointer while written once."""
+        does.  Written once, it names its value's pointer; when that
+        value has no name (pointer arithmetic), the register names it
+        only while declared at the top level of the kernel body, where
+        the declaration runs once: in a loop its value changes."""
         roots = []
         for d in A.walk(self.fn.body):
             if isinstance(d, A.VarDecl) and d.name == name:
@@ -1993,8 +2036,15 @@ class _VecFnCodegen(_CoreCodegen):
                 roots.append(_UNKNOWN)
         if len({r[0] for r in roots}) != 1:
             return _UNKNOWN
-        key, root, _ptr = roots[0]
-        return key, root, name if len(roots) == 1 else None
+        key, root, ptr = roots[0]
+        if len(roots) != 1:
+            return key, root, None
+        if ptr is None and any(
+                isinstance(st, A.DeclStmt)
+                and any(d.name == name for d in st.decls)
+                for st in self.fn.body.stmts):
+            ptr = name
+        return key, root, ptr
 
     def _externs(self) -> Set[str]:
         if self._extern_names is None:

@@ -464,7 +464,7 @@ class _LaunchEnv:
         #: of its global stores (None when the launch is unguarded)
         self.hazard_sites: frozenset = frozenset()
         self.hazard_names: Dict[int, str] = {}
-        self.undo: Optional[List[Tuple[Memory, Any, Any]]] = None
+        self.undo: Optional[List[Tuple[Memory, Any, int, Any]]] = None
 
     def in_constant_range(self, ptr: Ptr) -> bool:
         return self.in_constant_off(ptr.mem, ptr.off)
@@ -781,8 +781,8 @@ def _launch_kernel_impl(device: Device, kernel: KernelObject,
         # batching reordered two lanes' conflicting accesses: undo the
         # launch's global stores, demote the kernel for the module's
         # later launches, and run this one again on the scalar tier
-        for mem, idx, old in reversed(launch.undo):
-            mem.buf[idx] = old
+        from ..clike.vectorize import undo_stores
+        undo_stores(launch.undo)
         name = kernel.fn.name
         mod = kernel.module
         mod.vector_entries.pop(name, None)

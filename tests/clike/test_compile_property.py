@@ -469,6 +469,12 @@ _IMPURE = {
                   " out[i] = u;",
     "two-arms": "out[i] = (lid < 1 ? l[lid * 1000] : 0)"
                 " + (lid > 2 ? l[lid - 1] : l[lid]);",
+    # operators that raise on the lanes that do not select them: a divide
+    # by zero, a modulo by zero, a negative shift count, int() of inf
+    "div-arm": "out[i] = i != 0 ? 100 / i : -1;",
+    "mod-and": "out[i] = lid != 0 && 100 % lid == 0;",
+    "shift-arm": "out[i] = lid > 3 ? 1 << (lid - 4) : -1;",
+    "cast-arm": "out[i] = lid != 1 ? (int)(100.0f / (lid - 1)) : -1;",
 }
 
 #: the same shapes where hoisting would reorder or run the operand
@@ -480,6 +486,8 @@ _IMPURE_KEPT = {
                    "impure arm of varying conditional"),
     "and-after-load": ("out[i] = l[1] + (lid < 1 && l[lid * 1000] > 0);",
                        "impure rhs of varying '&&'"),
+    "div-after-load": ("out[i] = l[0] + (i != 0 ? 100 / i : -1);",
+                       "impure arm of varying conditional"),
 }
 
 
@@ -541,6 +549,37 @@ def test_impure_operand_keeps_its_reason(shape):
     assert r3.time == r1.time
 
 
+_NARROW = """
+__kernel void nar(__global const double* a, __global float* out) {
+  int i = get_global_id(0);
+  out[i] = VALUE;
+}
+"""
+
+
+@pytest.mark.parametrize("value", ["(float)(a[i] * 1e300)", "a[i] * 1e300"],
+                         ids=["cast", "store"])
+def test_float_narrowing_overflow_raises_on_all_tiers(value):
+    """A finite double past binary32, cast or stored to ``float``, raises
+    the interpreter's packing error on every tier (every lane but lane
+    0, whose product is 0.0, overflows)."""
+    def run(tier):
+        dev = Device(GTX_TITAN)
+        mod = load_module(dev, parse(_NARROW.replace("VALUE", value),
+                                     "opencl"), "opencl", exec_tier=tier)
+        a = _upload(dev, np.arange(N, dtype=np.float64))
+        out = dev.alloc_global(4 * N)
+        with pytest.raises(OverflowError) as exc:
+            launch_kernel(dev, mod.get_kernel("nar"), [GROUPS], [BLOCK],
+                          [a.retype(T.DOUBLE), out.retype(T.FLOAT)])
+        return str(exc.value), mod
+    want, _ = run("interp")
+    for tier in ("compiled", "vector"):
+        got, mod = run(tier)
+        assert got == want, tier
+    assert "nar" in mod.vector_entries, mod.vector_fallbacks
+
+
 # ---------------------------------------------------------------------------
 # cross-lane hazards: a lane of a warp accessing what another lane of the
 # warp accessed in the same barrier interval, one of them a store
@@ -594,6 +633,12 @@ _HAZARD_SHAPES = {
     "alias": ("b[i] = a[(i + D + n) % n] + 1;",
               "int t = a[(i + D + n) % n]; barrier(CLK_GLOBAL_MEM_FENCE);"
               " b[i] = t + 1;"),
+    # a pointer register whose value changes between the accesses: one
+    # declared in a loop from pointer arithmetic, one advanced in a loop
+    "loop-register": ("for (int q = 0; q < 2; q++) { __global int* p = a + q;"
+                      " p[i] = p[i] * 2 + i; }",
+                      "__global int* p = a; for (int q = 0; q < 2; q++) {"
+                      " p[i] = p[i] * 2 + i; p = p + 1; }"),
 }
 
 
@@ -601,7 +646,8 @@ def gen_hazard_kernel(seed: int):
     """A seeded hazard shape: in-place stencils over global and local
     memory (with and without a barrier between the read and the write),
     a uniform-index read-modify-write, an indirect store through
-    duplicate indices, and one buffer passed as two arguments."""
+    duplicate indices, one buffer passed as two arguments, and pointer
+    registers that move between the iterations of a loop."""
     rng = random.Random(f"hazard/{seed}")
     shape = sorted(_HAZARD_SHAPES)[seed % len(_HAZARD_SHAPES)]
     stmt = _HAZARD_SHAPES[shape][seed // len(_HAZARD_SHAPES) % 2]
@@ -626,20 +672,24 @@ def _run_hazard(src, alias, tier):
     dev = Device(GTX_TITAN)
     mod = load_module(dev, parse(src, "opencl"), "opencl", exec_tier=tier)
     rng = np.random.default_rng(3)
-    a = _upload(dev, rng.integers(-50, 50, N).astype(np.int32))
-    b = a if alias else _upload(dev, rng.integers(-50, 50, N).astype(
+    # one element past the launch for the loop registers' last step
+    m = GROUPS * 64 + 1
+    a = _upload(dev, rng.integers(-50, 50, m).astype(np.int32))
+    b = a if alias else _upload(dev, rng.integers(-50, 50, m).astype(
         np.int32))
-    idx = _upload(dev, rng.integers(0, N // 4, N).astype(np.int32))
+    idx = _upload(dev, rng.integers(0, N // 4, m).astype(np.int32))
     res = launch_kernel(dev, mod.get_kernel("haz"), [GROUPS], [64],
                         [a.retype(T.INT), b.retype(T.INT),
                          idx.retype(T.INT), GROUPS * 64, 7])
-    data = b"".join(bytes(dev.global_mem.view(p.off, 4 * GROUPS * 64))
+    data = b"".join(bytes(dev.global_mem.view(p.off, 4 * m))
                     for p in (a, b))
     return data, res, mod
 
 
 @pytest.mark.parametrize("seed", range(24))
 def test_hazard_shapes_identical_all_tiers(seed):
+    """Every hazard shape agrees on all three tiers: the vector tier's
+    guard re-runs what batching would reorder on the scalar tier."""
     src, alias = gen_hazard_kernel(seed)
     d1, r1, _ = _run_hazard(src, alias, "interp")
     for tier in ("compiled", "vector"):
