@@ -298,49 +298,41 @@ def _inversion(log: List[_Rec]) -> Optional[int]:
             stored.isdisjoint(k.tolist())
             for r, k in zip(log, keys) if not r[5]):
         return None
-    lanes, ts, stores, sites, vals = [], [], [], [], []
-    for t, ((site, _mem, _offs, al, esz, store, wire), k) in enumerate(
-            zip(log, keys)):
-        lanes.append(np.repeat(al, esz))
-        ts.append(np.full(len(k), t, dtype=_I8))
-        stores.append(np.full(len(k), store))
-        sites.append(np.full(len(k), site, dtype=_I8))
-        # loads carry no value; a store of unknown values one that no
-        # other store matches
-        vals.append(wire.view(np.uint8).astype(_I8) if wire is not None
-                    else np.full(len(k), -1 - store, dtype=_I8))
+    lens = [len(k) for k in keys]
     key = np.concatenate(keys)
-    st = np.concatenate(stores)
-    sel = np.isin(key, key[st])
-    key = key[sel]
-    if len(key) < 2:
-        return None
-    order = np.lexsort((np.concatenate(lanes)[sel], np.concatenate(ts)[sel],
-                        key))
+    # the records' lanes ascend, so a stable sort by byte leaves each
+    # byte's accesses in batched order
+    order = np.argsort(key, kind="stable")
     key = key[order]
-    lane = np.concatenate(lanes)[sel][order]
-    st = st[sel][order]
-    val = np.concatenate(vals)[sel][order]
-    site = np.concatenate(sites)[sel][order]
+    lane = np.concatenate([np.repeat(r[3], r[4]) for r in log])[order]
+    st = np.repeat([r[5] for r in log], lens)[order]
     first = np.r_[True, key[1:] != key[:-1]]
     grp = np.cumsum(first) - 1
     tagged = (grp << 20) + lane
-    starts = np.flatnonzero(first)
-    # whether every store of the byte wrote one known value
-    sv_lo = np.minimum.reduceat(np.where(st, val, _INT64_END - 1), starts)
-    sv_hi = np.maximum.reduceat(np.where(st, val, -1), starts)
-    same = ((sv_lo == sv_hi) & (sv_lo >= 0))[grp]
     # highest lane among the earlier loads / stores of the same byte, or
-    # below the group's tag when there is none
+    # below the byte's tags when there is none
     prev_ld = np.r_[-1, np.maximum.accumulate(
         np.where(st, -1, tagged))[:-1]]
     prev_st = np.r_[-1, np.maximum.accumulate(
         np.where(st, tagged, -1))[:-1]]
-    inv = np.where(st, (prev_ld > tagged) | ((prev_st > tagged) & ~same),
-                   prev_st > tagged)
+    after_st = prev_st > tagged
+    inv = np.where(st, prev_ld > tagged, after_st)
+    two = st & after_st
+    if two.any():
+        # a store after a higher lane's store counts unless every store
+        # of the byte wrote one known value (a load carries none)
+        val = np.concatenate([
+            r[6].view(np.uint8).astype(_I8) if r[6] is not None
+            else np.full(n, -1 - r[5], dtype=_I8)
+            for r, n in zip(log, lens)])[order]
+        starts = np.flatnonzero(first)
+        lo = np.minimum.reduceat(np.where(st, val, _INT64_END - 1), starts)
+        hi = np.maximum.reduceat(np.where(st, val, -1), starts)
+        inv |= two & ~((lo == hi) & (lo >= 0))[grp]
     if not inv.any():
         return None
-    return int(site[int(np.argmax(inv))])
+    at = int(order[int(np.argmax(inv))])
+    return log[int(np.searchsorted(np.cumsum(lens), at, side="right"))][0]
 
 
 def undo_stores(log: List[Tuple[Memory, np.ndarray, int, np.ndarray]]

@@ -699,6 +699,57 @@ def test_hazard_shapes_identical_all_tiers(seed):
         assert r.time == r1.time
 
 
+def _inversion_reference(log):
+    """The hazard condition byte by byte: the site of the first access (by
+    byte, then batched order) that a higher lane's earlier access to the
+    byte precedes, one of the two a store, unless both are stores and
+    every store of the byte wrote one known value."""
+    mems, seqs = {}, {}
+    for t, (site, mem, offs, al, esz, store, wire) in enumerate(log):
+        m = mems.setdefault(id(mem), len(mems))
+        raw = None if wire is None else wire.view(np.uint8).reshape(-1, esz)
+        for j, (off, lane) in enumerate(zip(offs.tolist(), al.tolist())):
+            for b in range(esz):
+                v = None if raw is None else int(raw[j, b])
+                seqs.setdefault((m, off + b), []).append((lane, store, v, site))
+    for byte in sorted(seqs):
+        seq = seqs[byte]
+        vals = {v for _lane, store, v, _site in seq if store}
+        same = len(vals) == 1 and None not in vals
+        for i, (lane, store, _v, site) in enumerate(seq):
+            if any(xl > lane and (xs or store) and not (xs and store and same)
+                   for xl, xs, _xv, _xsite in seq[:i]):
+                return site
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hazard_check_matches_its_definition(seed):
+    """The guard's check on random logs: one or two memories, element
+    sizes 1 to 8 at any alignment, loads, and stores of known and unknown
+    values, against the condition written out byte by byte."""
+    from repro.clike.vectorize import _inversion
+    rng = random.Random(f"inversion/{seed}")
+    mems = [object(), object()]
+    for _ in range(500):
+        log = []
+        for _t in range(rng.randint(1, 5)):
+            esz = rng.choice([1, 2, 4, 8])
+            n = rng.randint(0, 6)
+            al = np.array(sorted(rng.sample(range(8), n)), dtype=np.int64)
+            offs = np.array([rng.randint(0, 3) + rng.randint(0, 4)
+                             * rng.choice([1, esz]) for _ in range(n)],
+                            dtype=np.int64)
+            store = rng.random() < 0.5
+            wire = None
+            if store and rng.random() < 0.7:
+                wire = np.array([rng.choice([0, 7]) for _ in range(n * esz)],
+                                dtype=np.uint8).view(f"<u{esz}")
+            log.append((rng.randint(0, 9), rng.choice(mems), offs, al, esz,
+                        store, wire))
+        assert _inversion(log) == _inversion_reference(log), log
+
+
 _WAVE = """
 __kernel void wave(__global int* s, int dim, int w) {
   int t = get_global_id(0);
